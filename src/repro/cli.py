@@ -459,6 +459,12 @@ def _cmd_bench_history(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
+#: Default ``repro bench`` outputs: a git-ignored directory, so a bare run
+#: never overwrites the committed ``BENCH_<n>.json`` history.
+_BENCH_OUT = "artifacts/bench.json"
+_BENCH_SERVE_OUT = "artifacts/bench-serve.json"
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the tracked benchmark suite and write a ``BENCH_*.json`` artifact."""
     from repro.experiments.bench import render_suite, run_serve_suite, run_suite
@@ -474,7 +480,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             on_progress=progress,
         )
-        out = args.out or "BENCH_6.json"
+        out = args.out or _BENCH_SERVE_OUT
     else:
         payload = run_suite(
             nodes=args.nodes,
@@ -489,7 +495,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             interference_mb=args.interference_mb,
             on_progress=progress,
         )
-        out = args.out or "BENCH_5.json"
+        out = args.out or _BENCH_OUT
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -977,8 +984,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         metavar="PATH",
-        help="output JSON path (default: BENCH_5.json, or BENCH_6.json "
-        "with --serve)",
+        help=f"output JSON path (default: {_BENCH_OUT}, or {_BENCH_SERVE_OUT} "
+        "with --serve; the committed BENCH_<n>.json history is only "
+        "written when named explicitly)",
     )
     add_jobs_option(
         bench_parser,

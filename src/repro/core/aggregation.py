@@ -124,7 +124,7 @@ class AggregationSchedule:
     def schedule_of_rank(self, rank: int) -> PartitionSchedule:
         """The partition schedule containing ``rank``."""
         for schedule in self.partitions:
-            if rank in schedule.partition.bytes_per_rank:
+            if rank in schedule.partition.rank_array:
                 return schedule
         raise KeyError(f"rank {rank} is not in any partition schedule")
 

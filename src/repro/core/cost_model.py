@@ -163,100 +163,254 @@ class AggregationCostModel:
         )
 
     def best_candidate(
-        self, candidates: list[int], volumes: Mapping[int, int]
+        self, candidates, volumes
     ) -> tuple[int, list[CostBreakdown]]:
         """Evaluate every candidate and return (winner, all breakdowns).
 
         Ties are broken towards the lowest rank, matching the behaviour of
         ``MPI_Allreduce(MINLOC)``.
 
-        When the fast path is on, all candidates are evaluated against
-        precomputed per-node-pair hop and bottleneck-bandwidth arrays
-        instead of O(candidates × senders) scalar interface calls — also
-        under interference, provided the contention model exposes the
-        batched ``bandwidth_factors`` API; the per-term arithmetic and the
-        accumulation order match the scalar path exactly, so the breakdowns
-        are bit-identical.
+        Args:
+            candidates: candidate world ranks (a sequence or an int array).
+            volumes: bytes each producer rank ships (``ω(i, A)``): a
+                ``rank -> bytes`` mapping, or a
+                :class:`~repro.core.partitioning.Partition`, whose
+                ``rank_array``/``volumes`` columns are used directly.
+
+        When the fast path is on, all candidates are priced at once as one
+        producers × candidates matrix (see :meth:`_price`); the breakdowns
+        are bit-identical to :meth:`evaluate`'s.
         """
-        if not candidates:
+        if len(candidates) == 0:
             raise ValueError("no candidates to evaluate")
-        breakdowns = None
-        path = "scalar"
-        batchable = self.contention is None or (
-            getattr(self.contention, "bandwidth_factors", None) is not None
-        )
-        if batchable and fastpath_enabled():
-            breakdowns = self._batched_breakdowns(candidates, volumes)
-            if breakdowns is not None:
-                path = "fast"
-        if breakdowns is None:
-            breakdowns = [self.evaluate(c, volumes) for c in candidates]
-        rec = obs_recorder()
-        if rec is not None:
-            rec.inc("costmodel.candidates", len(candidates), path=path)
+        candidates = np.asarray(candidates, dtype=np.int64)
+        if self._batchable():
+            aggregation, io = self._price([(candidates, volumes)])
+            breakdowns = list(
+                map(CostBreakdown, candidates.tolist(), aggregation.tolist(), io.tolist())
+            )
+        else:
+            if not isinstance(volumes, Mapping):
+                volumes = volumes.bytes_per_rank
+            breakdowns = [self.evaluate(c, volumes) for c in candidates.tolist()]
+        self._count(len(candidates))
         winner = min(breakdowns, key=lambda b: (b.total, b.candidate))
         return winner.candidate, breakdowns
 
-    def _batched_breakdowns(
-        self, candidates: list[int], volumes: Mapping[int, int]
-    ) -> list[CostBreakdown] | None:
-        """All candidates' breakdowns from per-node arrays (``None`` = no batch).
+    def elect(self, partitions) -> list[CostBreakdown]:
+        """The winning breakdown of every partition, its ranks the candidates.
 
-        Requires the interface to expose :meth:`~repro.core.topology_iface.
-        TopologyInterface.node_pair_arrays`; duck-typed so hand-rolled
-        interface stubs in tests keep working through the scalar path.
+        Equals ``best_candidate(p.rank_array, p)``'s winner for each
+        partition ``p``.  On the fast path every partition is priced in one
+        columnar pass, so many small partitions share numpy's fixed
+        per-call cost instead of paying it once each.
         """
-        pair_arrays = getattr(self.iface, "node_pair_arrays", None)
-        if pair_arrays is None:
-            return None
-        # Mirror the scalar path's validation: a rank's volume is checked by
-        # every candidate except the rank itself.
-        for rank, nbytes in volumes.items():
-            if nbytes >= 0:
-                continue
-            if all(c == rank for c in candidates):
-                continue
-            require_non_negative(nbytes, f"volume of rank {rank}")
-        producer_ranks = list(volumes.keys())
-        producer_nodes = [self.iface.node_of_rank(r) for r in producer_ranks]
-        candidate_nodes = [self.iface.node_of_rank(c) for c in candidates]
-        node_list = list(dict.fromkeys(producer_nodes + candidate_nodes))
-        index_of = {node: i for i, node in enumerate(node_list)}
-        hops, bandwidths = pair_arrays(node_list)
-        rows = np.asarray(
-            [index_of[node] for node in producer_nodes], dtype=np.int64
-        )
-        vols = np.asarray(
-            [float(volumes[r]) for r in producer_ranks], dtype=np.float64
-        )
-        latency = self.iface.get_latency()
-        io_bytes = sum(volumes.values())
-        position = {rank: i for i, rank in enumerate(producer_ranks)}
-        breakdowns = []
-        for candidate, candidate_node in zip(candidates, candidate_nodes):
-            column = index_of[candidate_node]
-            # Identical per-term IEEE arithmetic to aggregation_cost(); the
-            # final reduction must stay a sequential left-to-right sum over
-            # the producers' iteration order to keep the floats bit-equal.
-            effective_bw = bandwidths[rows, column]
-            if self.contention is not None:
-                factors = np.asarray(
-                    self.contention.bandwidth_factors(producer_ranks, candidate_node),
-                    dtype=np.float64,
-                )
-                effective_bw = effective_bw / np.maximum(1.0, factors)
-            terms = (latency * hops[rows, column] + vols / effective_bw).tolist()
-            skip = position.get(candidate)
-            total = 0.0
-            for index, term in enumerate(terms):
-                if index == skip:
-                    continue
-                total += term
-            breakdowns.append(
-                CostBreakdown(
-                    candidate=candidate,
-                    aggregation=total,
-                    io=self.io_cost(candidate, io_bytes),
-                )
+        if not self._batchable():
+            winners = []
+            for partition in partitions:
+                winner, breakdowns = self.best_candidate(partition.rank_array, partition)
+                winners.append(next(b for b in breakdowns if b.candidate == winner))
+            return winners
+        aggregation, io = self._price([(p.rank_array, p) for p in partitions])
+        candidates = np.concatenate([p.rank_array for p in partitions])
+        sizes = [p.size for p in partitions]
+        self._count(candidates.size)
+        # Lowest total first, ties to the lowest rank, within each partition.
+        segment = np.repeat(np.arange(len(sizes)), sizes)
+        order = np.lexsort((candidates, aggregation + io, segment))
+        first = order[np.cumsum([0] + sizes[:-1])]
+        return list(
+            map(
+                CostBreakdown,
+                candidates[first].tolist(),
+                aggregation[first].tolist(),
+                io[first].tolist(),
             )
-        return breakdowns
+        )
+
+    def _batchable(self) -> bool:
+        """Whether the fast path can price candidates as arrays."""
+        return (
+            fastpath_enabled()
+            and getattr(self.iface, "node_pair_arrays", None) is not None
+            and (
+                self.contention is None
+                or getattr(self.contention, "bandwidth_factors", None) is not None
+            )
+        )
+
+    def _count(self, candidates: int) -> None:
+        rec = obs_recorder()
+        if rec is not None:
+            path = "fast" if self._batchable() else "scalar"
+            rec.inc("costmodel.candidates", candidates, path=path)
+
+    def _price(self, segments: list) -> tuple[np.ndarray, np.ndarray]:
+        """C1 and C2 of every candidate of every ``(candidates, volumes)`` segment.
+
+        Each segment is one election.  Candidates become the columns of a
+        matrix, segment after segment; row ``i`` of a column holds the term
+        of its segment's ``i``-th producer, in producer order, and rows past
+        a segment's producers are padding.  A candidate's own term and the
+        padding are set to 0.0, which leaves a running float sum unchanged,
+        so a sequential ``cumsum`` down each column equals the left-to-right
+        loop of :meth:`aggregation_cost` bit for bit.  Hops and bandwidths
+        are gathered from each segment's cached node-pair matrices.
+        """
+        iface = self.iface
+        columns = [_columns(volumes) for _, volumes in segments]
+        producers = np.concatenate([ranks for ranks, _ in columns])
+        nbytes = np.concatenate([nbytes for _, nbytes in columns])
+        candidates = np.concatenate([ranks for ranks, _ in segments])
+        if nbytes.size and nbytes.min() < 0:
+            for (ranks, volumes), (producer_ranks, producer_bytes) in zip(segments, columns):
+                _check_volumes(ranks.tolist(), producer_ranks, producer_bytes, _total(volumes))
+        heights = np.array([ranks.size for ranks, _ in columns])
+        widths = np.array([ranks.size for ranks, _ in segments])
+        producer_start = np.concatenate(([0], np.cumsum(heights)))
+        candidate_start = np.concatenate(([0], np.cumsum(widths)))
+        ids = np.arange(len(segments))
+        segment = np.concatenate((np.repeat(ids, heights), np.repeat(ids, widths)))
+        nodes = iface.nodes_of_ranks(np.concatenate((producers, candidates)))
+        node_ids, node_start, local = _node_sets(segment, nodes, len(segments))
+        producer_local, candidate_local = local[: producers.size], local[producers.size :]
+        node_count = np.diff(node_start)
+        candidate_segment = segment[producers.size :]
+        latency = iface.get_latency()
+        volume = nbytes.astype(np.float64)
+        aggregation = np.zeros(candidates.size)
+        for lo, hi in _blocks(heights.tolist(), widths.tolist()):
+            owner = candidate_segment[lo:hi]
+            first, last = int(owner[0]), int(owner[-1]) + 1
+            rows = int(heights[first:last].max())
+            if rows == 0:
+                continue
+            hop_tables, bandwidth_tables, offsets = [], [], [0]
+            for k in range(first, last):
+                hops, bandwidths = iface.node_pair_arrays(
+                    node_ids[node_start[k] : node_start[k + 1]].tolist()
+                )
+                hop_tables.append(hops.ravel())
+                bandwidth_tables.append(bandwidths.ravel())
+                offsets.append(offsets[-1] + hops.size)
+            row = np.arange(rows)[:, None]
+            valid = row < heights[owner]
+            producer = np.where(valid, producer_start[owner] + row, 0)
+            cell = (
+                np.asarray(offsets[:-1])[owner - first]
+                + np.where(valid, producer_local[producer], 0) * node_count[owner]
+                + candidate_local[lo:hi]
+            )
+            hop = _joined(hop_tables)[cell]
+            bandwidth = _joined(bandwidth_tables)[cell]
+            if self.contention is not None:
+                factor = np.ones(cell.shape)
+                for k in range(first, last):
+                    start, stop = max(lo, candidate_start[k]), min(hi, candidate_start[k + 1])
+                    factor[: heights[k], start - lo : stop - lo] = self._factors(
+                        producers[producer_start[k] : producer_start[k + 1]],
+                        nodes[producers.size + start : producers.size + stop],
+                    )
+                bandwidth = bandwidth / np.maximum(1.0, factor)
+            terms = latency * hop + volume[producer] / bandwidth
+            terms[~valid | (producers[producer] == candidates[lo:hi])] = 0.0
+            aggregation[lo:hi] = terms.cumsum(axis=0)[-1]
+        io = np.zeros(candidates.size)
+        if iface.io_locality_known():
+            distance, io_bandwidth = iface.io_arrays(nodes[producers.size :])
+            io_bytes = np.repeat([float(_total(v)) for _, v in segments], widths)
+            known = distance >= 0
+            io[known] = latency * distance[known] + io_bytes[known] / io_bandwidth[known]
+        return aggregation, io
+
+    def _factors(self, producers: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Contention factor of each producer's route to each target node."""
+        distinct, target_of = np.unique(targets, return_inverse=True)
+        factors = [
+            np.asarray(self.contention.bandwidth_factors(producers, node), dtype=np.float64)
+            for node in distinct.tolist()
+        ]
+        return np.column_stack(factors)[:, target_of]
+
+
+#: Cells of one padded producers × candidates block of :meth:`AggregationCostModel._price`.
+_BLOCK_CELLS = 1 << 12
+
+
+def _blocks(heights: list[int], widths: list[int]):
+    """Candidate ranges ``[lo, hi)`` priced together, in column order.
+
+    A block's padded matrix (its tallest segment's producers × its
+    candidates) stays within :data:`_BLOCK_CELLS` cells; whole segments
+    share a block, and a segment too large for one is sliced column-wise.
+    """
+    start = end = rows = 0
+    for height, width in zip(heights, widths):
+        step = max(1, _BLOCK_CELLS // max(height, 1))
+        for lo in range(0, width, step):
+            piece = min(step, width - lo)
+            if end > start and max(rows, height) * (end - start + piece) > _BLOCK_CELLS:
+                yield start, end
+                start, rows = end, 0
+            end += piece
+            rows = max(rows, height)
+    if end > start:
+        yield start, end
+
+
+def _node_sets(
+    segment: np.ndarray, nodes: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each segment's distinct nodes and every item's index into them.
+
+    Returns ``(node_ids, node_start, local)``: segment ``k``'s nodes are
+    ``node_ids[node_start[k]:node_start[k + 1]]``, ascending, and item
+    ``i`` (on node ``nodes[i]`` in segment ``segment[i]``) is node
+    ``local[i]`` of its segment's set.
+    """
+    span = int(nodes.max()) + 1
+    keys = segment * span + nodes
+    distinct = np.unique(keys)
+    node_start = np.searchsorted(distinct // span, np.arange(count + 1))
+    local = np.searchsorted(distinct, keys) - node_start[segment]
+    return distinct % span, node_start, local
+
+
+def _joined(tables: list[np.ndarray]) -> np.ndarray:
+    """The flattened tables end to end (no copy for a single one)."""
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+
+
+def _columns(volumes) -> tuple[np.ndarray, np.ndarray]:
+    """``(producer ranks, bytes)`` of a mapping or a partition."""
+    if hasattr(volumes, "rank_array"):
+        return volumes.rank_array, volumes.volumes
+    producers = np.fromiter(volumes.keys(), dtype=np.int64, count=len(volumes))
+    return producers, np.array(list(volumes.values()))
+
+
+def _total(volumes):
+    """``ω(A, IO)``: the bytes the aggregator pushes to storage."""
+    if hasattr(volumes, "rank_array"):
+        return volumes.total_bytes
+    return sum(volumes.values())
+
+
+def _check_volumes(
+    candidates: list[int], producers: np.ndarray, nbytes: np.ndarray, io_bytes
+) -> None:
+    """Raise exactly what :meth:`AggregationCostModel.evaluate` would, per
+    candidate in order: a negative volume of any producer other than the
+    candidate itself, then a negative ``io_bytes``."""
+    if nbytes.size == 0 or nbytes.min() >= 0:
+        return
+    negative = [
+        (rank, value)
+        for rank, value in zip(producers.tolist(), nbytes.tolist())
+        if value < 0
+    ]
+    for candidate in candidates:
+        for rank, value in negative:
+            if rank != candidate:
+                require_non_negative(value, f"volume of rank {rank}")
+        require_non_negative(io_bytes, "io_bytes")

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.cost_model import AggregationCostModel, CostBreakdown
 from repro.core.partitioning import Partition
 from repro.core.topology_iface import TopologyInterface
@@ -53,16 +55,6 @@ class PlacementResult:
         return dict(enumerate(self.aggregators))
 
 
-def _topology_aware(
-    partition: Partition, model: AggregationCostModel
-) -> tuple[int, CostBreakdown]:
-    winner, breakdowns = model.best_candidate(
-        list(partition.ranks), partition.bytes_per_rank
-    )
-    winning = next(b for b in breakdowns if b.candidate == winner)
-    return winner, winning
-
-
 def _shortest_io(
     partition: Partition, iface: TopologyInterface, model: AggregationCostModel
 ) -> tuple[int, CostBreakdown]:
@@ -72,39 +64,52 @@ def _shortest_io(
     caller's contention factors); constructing a fresh contention-free model
     here would report breakdowns that ignore multi-job background traffic.
     """
-    candidates = []
-    for rank in partition.ranks:
-        distance = iface.distance_to_io_node(rank)
-        candidates.append((distance if distance is not None else 0, rank))
-    _distance, winner = min(candidates)
+    distance, _ = iface.io_arrays(iface.nodes_of_ranks(partition.rank_array))
+    # Unknown distances count as 0; ties go to the lowest rank.
+    first = np.lexsort((partition.rank_array, np.maximum(distance, 0)))[0]
+    winner = int(partition.rank_array[first])
     return winner, model.evaluate(winner, partition.bytes_per_rank)
 
 
 def _max_volume(partition: Partition) -> int:
-    return max(partition.ranks, key=lambda r: (partition.bytes_per_rank[r], -r))
+    """The rank holding the most data; ties go to the lowest rank."""
+    return int(partition.rank_array[np.lexsort((partition.rank_array, -partition.volumes))[0]])
 
 
-def _node_level_partition(partition: Partition, iface: TopologyInterface) -> Partition:
-    """Collapse a partition to one representative rank per node.
+def node_level_partitions(
+    partitions: list[Partition], iface: TopologyInterface
+) -> list[Partition]:
+    """Collapse each partition to one representative rank per node.
 
     The cost model only depends on the *nodes* involved (distances,
     bandwidths) and on per-node volumes, so evaluating one candidate per node
     is equivalent to evaluating every rank while being quadratically cheaper.
-    This is what the large-scale analytic path uses; the winning node's
-    lowest rank is reported as the aggregator.
+    This is what the large-scale analytic path uses; each node is represented
+    by its lowest rank, which is reported as the aggregator when it wins.
+    All partitions are collapsed together: one node gather, one lexsort
+    by (partition, node, rank) and one ``add.reduceat`` of the volumes.
     """
-    volumes_by_node: dict[int, int] = {}
-    representative: dict[int, int] = {}
-    for rank in partition.ranks:
-        node = iface.node_of_rank(rank)
-        volumes_by_node[node] = volumes_by_node.get(node, 0) + partition.bytes_per_rank[rank]
-        if node not in representative or rank < representative[node]:
-            representative[node] = rank
-    ranks = tuple(sorted(representative[node] for node in representative))
-    bytes_per_rank = {
-        representative[node]: volumes_by_node[node] for node in representative
-    }
-    return Partition(partition.index, ranks, bytes_per_rank)
+    sizes = [p.size for p in partitions]
+    ranks = np.concatenate([p.rank_array for p in partitions])
+    # One sort key per (partition, node); ranks break ties within a node.
+    span = iface.mapping.num_nodes
+    key = np.repeat(np.arange(len(partitions)), sizes) * span + iface.nodes_of_ranks(ranks)
+    order = np.lexsort((ranks, key))
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    representatives = ranks[order[starts]]
+    volumes = np.concatenate([p.volumes for p in partitions])[order]
+    node_volumes = np.add.reduceat(volumes, starts)
+    segment = key[starts] // span
+    by_rank = np.lexsort((representatives, segment))
+    representatives, node_volumes = representatives[by_rank], node_volumes[by_rank]
+    for column in (representatives, node_volumes):
+        column.setflags(write=False)
+    bounds = np.searchsorted(segment[by_rank], np.arange(len(partitions) + 1)).tolist()
+    return [
+        Partition(partition.index, representatives[lo:hi], node_volumes[lo:hi])
+        for partition, lo, hi in zip(partitions, bounds, bounds[1:])
+    ]
 
 
 def place_aggregators(
@@ -149,28 +154,27 @@ def place_aggregators(
     with obs_span(
         "placement", cat="core", strategy=strategy, partitions=len(partitions)
     ):
-        for original in partitions:
-            partition = (
-                _node_level_partition(original, iface)
-                if granularity == "node"
-                else original
-            )
-            if strategy == "topology-aware":
-                winner, breakdown = _topology_aware(partition, model)
-                result.breakdowns[partition.index] = breakdown
-            elif strategy == "shortest-io":
-                winner, breakdown = _shortest_io(partition, iface, model)
-                result.breakdowns[partition.index] = breakdown
-            elif strategy == "max-volume":
-                winner = _max_volume(partition)
-            elif strategy == "rank-order":
-                winner = partition.ranks[0]
-            elif strategy == "random":
-                assert rng is not None
-                winner = int(partition.ranks[rng.integers(0, partition.size)])
-            else:
-                raise ValueError(f"unknown placement strategy {strategy!r}")
-            result.aggregators.append(winner)
+        if granularity == "node":
+            partitions = node_level_partitions(partitions, iface)
+        if strategy == "topology-aware":
+            winners = model.elect(partitions)
+            result.aggregators = [b.candidate for b in winners]
+            result.breakdowns = {p.index: b for p, b in zip(partitions, winners)}
+        else:
+            for partition in partitions:
+                if strategy == "shortest-io":
+                    winner, breakdown = _shortest_io(partition, iface, model)
+                    result.breakdowns[partition.index] = breakdown
+                elif strategy == "max-volume":
+                    winner = _max_volume(partition)
+                elif strategy == "rank-order":
+                    winner = int(partition.rank_array[0])
+                elif strategy == "random":
+                    assert rng is not None
+                    winner = int(partition.rank_array[rng.integers(0, partition.size)])
+                else:
+                    raise ValueError(f"unknown placement strategy {strategy!r}")
+                result.aggregators.append(winner)
     rec = obs_recorder()
     if rec is not None:
         rec.inc("placement.partitions", len(partitions), strategy=strategy)

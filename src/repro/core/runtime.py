@@ -28,7 +28,7 @@ from typing import Any, Generator
 from repro.core.aggregation import AggregationSchedule, build_schedule
 from repro.core.config import TapiocaConfig
 from repro.core.cost_model import AggregationCostModel
-from repro.core.partitioning import Partition, build_partitions
+from repro.core.partitioning import Partition, build_partitions, partition_of_rank
 from repro.core.placement import PlacementResult, place_aggregators
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder
@@ -109,10 +109,7 @@ class TapiocaIO:
 
     def partition_index_of_rank(self, rank: int) -> int:
         """Index of the partition containing ``rank``."""
-        for partition in self.partitions:
-            if rank in partition.bytes_per_rank:
-                return partition.index
-        raise KeyError(f"rank {rank} is not in any partition")
+        return partition_of_rank(self.partitions, rank).index
 
     def _election_value(self, rank: int, partition: Partition) -> tuple[float, int]:
         """The (cost, rank) pair this rank contributes to the MINLOC election."""

@@ -147,6 +147,23 @@ class TopologyInterface:
     # Batch queries (the placement fast path)
     # ------------------------------------------------------------------ #
 
+    def nodes_of_ranks(self, ranks) -> np.ndarray:
+        """Node hosting each of ``ranks`` (:meth:`node_of_rank` as a gather)."""
+        return self.mapping.nodes_of(ranks)
+
+    def io_arrays(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node ``(hops, bandwidths)`` towards storage over ``nodes``.
+
+        ``hops[i]`` equals :meth:`distance_to_io_node` for a rank on
+        ``nodes[i]`` (-1 for ``None``); ``bandwidths[i]`` equals
+        :meth:`io_bandwidth_of_rank`, including its level-1 fallback.
+        """
+        hops, bandwidths = self.machine.io_columns(nodes)
+        unknown = np.isnan(bandwidths)
+        if unknown.any():
+            bandwidths = np.where(unknown, self.get_bandwidth(LEVEL_IO), bandwidths)
+        return hops, bandwidths
+
     def node_pair_arrays(
         self, nodes: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,8 @@ topology-aware placement in :mod:`repro.core.placement`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.machine.machine import Machine
 from repro.machine.mira import MiraMachine
 from repro.topology.mapping import RankMapping
@@ -26,32 +28,35 @@ from repro.utils.rng import seeded_rng
 from repro.utils.validation import require, require_positive
 
 
-def partition_ranks(num_ranks: int, num_partitions: int) -> list[list[int]]:
-    """Split ranks into ``num_partitions`` contiguous blocks (first blocks larger).
+def partition_bounds(num_ranks: int, num_partitions: int) -> np.ndarray:
+    """Boundaries of ``num_partitions`` contiguous rank blocks (first blocks larger).
 
-    Contiguous rank blocks own contiguous file regions for all the paper's
-    workloads, which is the partition definition TAPIOCA uses ("a subset of
-    nodes hosting processes sharing a contiguous piece of data in file").
+    Block ``i`` is ``range(bounds[i], bounds[i + 1])``; there are at most
+    ``num_ranks`` blocks.  Contiguous rank blocks own contiguous file regions
+    for all the paper's workloads, which is the partition definition TAPIOCA
+    uses ("a subset of nodes hosting processes sharing a contiguous piece of
+    data in file").
     """
     require_positive(num_ranks, "num_ranks")
     require_positive(num_partitions, "num_partitions")
     num_partitions = min(num_partitions, num_ranks)
     base, extra = divmod(num_ranks, num_partitions)
-    partitions = []
-    start = 0
-    for index in range(num_partitions):
-        size = base + (1 if index < extra else 0)
-        partitions.append(list(range(start, start + size)))
-        start += size
-    return partitions
+    sizes = np.full(num_partitions, base, dtype=np.int64)
+    sizes[:extra] += 1
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def partition_ranks(num_ranks: int, num_partitions: int) -> list[list[int]]:
+    """The blocks of :func:`partition_bounds` as lists of ranks."""
+    bounds = partition_bounds(num_ranks, num_partitions).tolist()
+    return [list(range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
 
 
 def rank_order_aggregators(
     num_ranks: int, num_aggregators: int
 ) -> list[int]:
     """Generic ROMIO policy: the first rank of each contiguous rank block."""
-    partitions = partition_ranks(num_ranks, num_aggregators)
-    return [partition[0] for partition in partitions]
+    return partition_bounds(num_ranks, num_aggregators)[:-1].tolist()
 
 
 def bridge_first_aggregators(
@@ -63,21 +68,17 @@ def bridge_first_aggregators(
     becomes the aggregator; otherwise the partition's first rank is used.
     On machines without bridge nodes this degenerates to rank order.
     """
-    partitions = partition_ranks(mapping.num_ranks, num_aggregators)
-    bridge_nodes: set[int] = set()
+    bounds = partition_bounds(mapping.num_ranks, num_aggregators)
     if isinstance(machine, MiraMachine):
-        bridge_nodes = set(machine.bridge_nodes())
+        bridge_nodes = machine.bridge_nodes()
     else:
-        bridge_nodes = {gateway.node for gateway in machine.io_gateways()}
-    aggregators = []
-    for partition in partitions:
-        chosen = partition[0]
-        for rank in partition:
-            if mapping.node(rank) in bridge_nodes:
-                chosen = rank
-                break
-        aggregators.append(chosen)
-    return aggregators
+        bridge_nodes = [gateway.node for gateway in machine.io_gateways()]
+    starts, stops = bounds[:-1], bounds[1:]
+    # The first bridge-hosted rank at or after each block start; the
+    # appended sentinel (num_ranks) never falls inside a block.
+    on_bridge = np.flatnonzero(np.isin(mapping.node_array, bridge_nodes))
+    first = np.append(on_bridge, bounds[-1])[np.searchsorted(on_bridge, starts)]
+    return np.where(first < stops, first, starts).tolist()
 
 
 def random_aggregators(
@@ -85,8 +86,11 @@ def random_aggregators(
 ) -> list[int]:
     """One uniformly random aggregator per contiguous rank partition."""
     rng = seeded_rng(seed)
-    partitions = partition_ranks(num_ranks, num_aggregators)
-    return [int(partition[rng.integers(0, len(partition))]) for partition in partitions]
+    bounds = partition_bounds(num_ranks, num_aggregators).tolist()
+    return [
+        start + int(rng.integers(0, stop - start))
+        for start, stop in zip(bounds, bounds[1:])
+    ]
 
 
 def select_default_aggregators(

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.obs import span as obs_span
 from repro.topology.base import Topology
 from repro.utils.fastpath import fastpath_enabled
 from repro.utils.validation import require
@@ -84,6 +85,16 @@ def analyze_flows(
         many aggregation streams the link is shared between.
     """
     require(len(senders_by_aggregator) > 0, "no aggregation flows to analyse")
+    with obs_span("flows", cat="perfmodel", aggregators=len(senders_by_aggregator)):
+        return _analyze(topology, senders_by_aggregator, max_senders_per_aggregator)
+
+
+def _analyze(
+    topology: Topology,
+    senders_by_aggregator: dict[int, list[int]],
+    max_senders_per_aggregator: int,
+) -> FlowAnalysis:
+    """The body of :func:`analyze_flows`, memoised on the topology."""
     # The analysis is a pure function of (topology, flow pattern) and every
     # consumer treats it as read-only, so it is memoised on the topology
     # instance: tuning candidates and sweep points that differ only in

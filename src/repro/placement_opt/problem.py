@@ -26,8 +26,7 @@ number of nodes).
 
 Candidate costs are computed from the same vectorised
 :meth:`~repro.core.topology_iface.TopologyInterface.node_pair_arrays`
-kernels the placement fast path uses, with a scalar fallback for duck-typed
-interface stubs.
+kernels the placement fast path uses, over the same per-node collapse.
 """
 
 from __future__ import annotations
@@ -35,7 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.partitioning import Partition
+from repro.core.placement import node_level_partitions
 from repro.utils.validation import require
 
 
@@ -126,14 +128,10 @@ class PlacementProblem:
         Mirrors the placement path: each partition is collapsed to one
         representative rank per node (the cost model only depends on nodes
         and per-node volumes), then every node of the partition is costed as
-        a candidate.  Uses the interface's vectorised ``node_pair_arrays``
-        kernel when available, otherwise falls back to scalar queries so
-        duck-typed test interfaces keep working.
+        a candidate from the interface's ``node_pair_arrays`` matrices.
         """
-        out = []
-        for partition in partitions:
-            out.append(_candidates_for_partition(partition, iface))
-        return cls(out)
+        collapsed = node_level_partitions(partitions, iface)
+        return cls([_candidates_for_partition(p, iface) for p in collapsed])
 
 
 def assignment_cost(problem: PlacementProblem, choice: Sequence[int]) -> float:
@@ -164,57 +162,33 @@ def greedy_choice(problem: PlacementProblem) -> tuple[int, ...]:
 
 
 def _candidates_for_partition(
-    partition: Partition, iface
+    collapsed: Partition, iface
 ) -> PartitionCandidates:
-    """Per-candidate (latency_s, transfer_s) splits for one partition."""
-    volumes_by_node: dict[int, int] = {}
-    representative: dict[int, int] = {}
-    for rank in partition.ranks:
-        node = iface.node_of_rank(rank)
-        volumes_by_node[node] = (
-            volumes_by_node.get(node, 0) + partition.bytes_per_rank[rank]
-        )
-        if node not in representative or rank < representative[node]:
-            representative[node] = rank
-    node_list = sorted(volumes_by_node)
+    """Per-candidate (latency_s, transfer_s) splits for one collapsed partition."""
+    nodes = iface.nodes_of_ranks(collapsed.rank_array)
+    by_node = np.argsort(nodes)
+    node_list = nodes[by_node].tolist()
+    volumes = collapsed.volumes[by_node].tolist()
+    representatives = collapsed.rank_array[by_node].tolist()
     latency = iface.get_latency()
-    total_bytes = sum(volumes_by_node.values())
-    pair_arrays = getattr(iface, "node_pair_arrays", None)
-    if pair_arrays is not None:
-        hops, bandwidths = pair_arrays(node_list)
+    total_bytes = collapsed.total_bytes
+    hops, bandwidths = iface.node_pair_arrays(node_list)
     candidates = []
-    for column, node in enumerate(node_list):
+    for column, (node, rank) in enumerate(zip(node_list, representatives)):
         lat_s = 0.0
         xfer_s = 0.0
         for row, producer in enumerate(node_list):
             if producer == node:
                 continue
-            if pair_arrays is not None:
-                lat_s += latency * float(hops[row, column])
-                xfer_s += float(volumes_by_node[producer]) / float(
-                    bandwidths[row, column]
-                )
-            else:
-                src = representative[producer]
-                dst = representative[node]
-                lat_s += latency * iface.distance_between_ranks(src, dst)
-                xfer_s += float(
-                    volumes_by_node[producer]
-                ) / iface.bandwidth_between_ranks(src, dst)
+            lat_s += latency * float(hops[row, column])
+            xfer_s += float(volumes[row]) / float(bandwidths[row, column])
         if iface.io_locality_known():
-            distance = iface.distance_to_io_node(representative[node])
+            distance = iface.distance_to_io_node(rank)
             if distance is not None:
                 lat_s += latency * distance
-                xfer_s += float(total_bytes) / iface.io_bandwidth_of_rank(
-                    representative[node]
-                )
+                xfer_s += float(total_bytes) / iface.io_bandwidth_of_rank(rank)
         candidates.append(
-            CandidateCost(
-                node=node,
-                rank=representative[node],
-                latency_s=lat_s,
-                transfer_s=xfer_s,
-            )
+            CandidateCost(node=node, rank=rank, latency_s=lat_s, transfer_s=xfer_s)
         )
     candidates.sort(key=lambda c: (c.base_s, c.node))
-    return PartitionCandidates(index=partition.index, candidates=tuple(candidates))
+    return PartitionCandidates(index=collapsed.index, candidates=tuple(candidates))

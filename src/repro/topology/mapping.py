@@ -54,6 +54,21 @@ class RankMapping:
             raise ValueError(f"rank {rank} out of range [0, {self.num_ranks})")
         return self.node_of_rank[rank]
 
+    def nodes_of(self, ranks) -> np.ndarray:
+        """Nodes hosting each of ``ranks``: :meth:`node` as one array gather.
+
+        Raises the same ``ValueError`` as :meth:`node` for the first
+        out-of-range rank (numpy would otherwise wrap negative indices).
+        """
+        ranks = np.asarray(ranks, dtype=np.int64)
+        # One unsigned max also catches negative ranks (they wrap to >= 2**63).
+        if ranks.size and ranks.view(np.uint64).max() >= self.num_ranks:
+            bad = ranks[(ranks < 0) | (ranks >= self.num_ranks)]
+            raise ValueError(
+                f"rank {int(bad[0])} out of range [0, {self.num_ranks})"
+            )
+        return self.node_array[ranks]
+
     def ranks_on_node(self, node: int) -> list[int]:
         """All ranks hosted on ``node`` (ascending)."""
         if not 0 <= node < self.num_nodes:

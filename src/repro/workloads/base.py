@@ -103,6 +103,28 @@ class Workload(abc.ABC):
         """Total bytes written/read by one rank."""
         return sum(s.nbytes for s in self.segments_for_rank(rank))
 
+    def rank_bytes(self) -> np.ndarray:
+        """Bytes of every rank as a read-only int64 column (index = rank).
+
+        Built once per workload from :meth:`bytes_per_rank` — a single call
+        when the workload :meth:`is_uniform`, one call per rank otherwise —
+        so a subclass overriding :meth:`bytes_per_rank` is honoured.  The
+        partitioning and placement layers read per-rank volumes from here.
+        """
+        column = self.__dict__.get("_rank_bytes")
+        if column is None:
+            if self.is_uniform():
+                column = np.full(self.num_ranks, self.bytes_per_rank(0), dtype=np.int64)
+            else:
+                column = np.fromiter(
+                    (self.bytes_per_rank(rank) for rank in range(self.num_ranks)),
+                    dtype=np.int64,
+                    count=self.num_ranks,
+                )
+            column.setflags(write=False)
+            self.__dict__["_rank_bytes"] = column
+        return column
+
     def total_bytes(self) -> int:
         """Total bytes moved by all ranks."""
         return sum(self.bytes_per_rank(rank) for rank in range(self.num_ranks))

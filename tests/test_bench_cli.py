@@ -62,6 +62,15 @@ def test_bench_writes_payload_and_summary(tmp_path, capsys):
     assert str(out) in captured.out
 
 
+def test_bare_bench_leaves_the_committed_history_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", *_FAST_ARGS]) == 0
+    assert sorted(tmp_path.glob("BENCH_*.json")) == []
+    payload = json.loads((tmp_path / "artifacts" / "bench.json").read_text())
+    assert payload["schema"] == BENCH_SCHEMA
+    assert "wrote artifacts/bench.json" in capsys.readouterr().out
+
+
 def test_bench_enforces_placement_floor(tmp_path, capsys):
     out = tmp_path / "BENCH_floor.json"
     code = main(

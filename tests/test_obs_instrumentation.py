@@ -168,6 +168,12 @@ class TestCliSurfaces:
         assert "scenario.estimate" in output
         assert "model.estimates" in output
 
+    def test_profile_attributes_partitioning_and_flows(self, capsys):
+        assert main(["profile", "fig12", "--scale", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        spans = {line.split()[0] for line in lines if line.endswith(" s")}
+        assert {"partitioning", "flows", "placement"} <= spans
+
     def test_profile_optionally_writes_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "profile.json"
         assert main(
