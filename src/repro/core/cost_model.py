@@ -45,12 +45,10 @@ class ContentionFactors(Protocol):
         ...
 
     def bandwidth_factors(self, src_ranks, dst_node):  # pragma: no cover
-        """Optional batched twin: factor per source rank towards one node.
+        """Batched twin: the factor of each source rank's route to one node.
 
-        Implementations that provide it (duck-typed; see
-        :class:`repro.multijob.contention.LinkContentionFactors`) keep
-        :meth:`AggregationCostModel.best_candidate` on the vectorised fast
-        path under interference instead of dropping to scalar evaluation.
+        :meth:`AggregationCostModel.best_candidate`'s fast path prices
+        contention through this.
         """
         ...
 
@@ -184,8 +182,9 @@ class AggregationCostModel:
         if len(candidates) == 0:
             raise ValueError("no candidates to evaluate")
         candidates = np.asarray(candidates, dtype=np.int64)
-        if self._batchable():
-            aggregation, io = self._price([(candidates, volumes)])
+        fast = fastpath_enabled()
+        if fast:
+            aggregation, io = self._price(candidates, volumes)
             breakdowns = list(
                 map(CostBreakdown, candidates.tolist(), aggregation.tolist(), io.tolist())
             )
@@ -193,134 +192,58 @@ class AggregationCostModel:
             if not isinstance(volumes, Mapping):
                 volumes = volumes.bytes_per_rank
             breakdowns = [self.evaluate(c, volumes) for c in candidates.tolist()]
-        self._count(len(candidates))
+        rec = obs_recorder()
+        if rec is not None:
+            rec.inc(
+                "costmodel.candidates", len(breakdowns), path="fast" if fast else "scalar"
+            )
         winner = min(breakdowns, key=lambda b: (b.total, b.candidate))
         return winner.candidate, breakdowns
 
-    def elect(self, partitions) -> list[CostBreakdown]:
-        """The winning breakdown of every partition, its ranks the candidates.
+    def _price(self, candidates: np.ndarray, volumes) -> tuple[np.ndarray, np.ndarray]:
+        """C1 and C2 of every candidate, as arrays in candidate order.
 
-        Equals ``best_candidate(p.rank_array, p)``'s winner for each
-        partition ``p``.  On the fast path every partition is priced in one
-        columnar pass, so many small partitions share numpy's fixed
-        per-call cost instead of paying it once each.
-        """
-        if not self._batchable():
-            winners = []
-            for partition in partitions:
-                winner, breakdowns = self.best_candidate(partition.rank_array, partition)
-                winners.append(next(b for b in breakdowns if b.candidate == winner))
-            return winners
-        aggregation, io = self._price([(p.rank_array, p) for p in partitions])
-        candidates = np.concatenate([p.rank_array for p in partitions])
-        sizes = [p.size for p in partitions]
-        self._count(candidates.size)
-        # Lowest total first, ties to the lowest rank, within each partition.
-        segment = np.repeat(np.arange(len(sizes)), sizes)
-        order = np.lexsort((candidates, aggregation + io, segment))
-        first = order[np.cumsum([0] + sizes[:-1])]
-        return list(
-            map(
-                CostBreakdown,
-                candidates[first].tolist(),
-                aggregation[first].tolist(),
-                io[first].tolist(),
-            )
-        )
-
-    def _batchable(self) -> bool:
-        """Whether the fast path can price candidates as arrays."""
-        return (
-            fastpath_enabled()
-            and getattr(self.iface, "node_pair_arrays", None) is not None
-            and (
-                self.contention is None
-                or getattr(self.contention, "bandwidth_factors", None) is not None
-            )
-        )
-
-    def _count(self, candidates: int) -> None:
-        rec = obs_recorder()
-        if rec is not None:
-            path = "fast" if self._batchable() else "scalar"
-            rec.inc("costmodel.candidates", candidates, path=path)
-
-    def _price(self, segments: list) -> tuple[np.ndarray, np.ndarray]:
-        """C1 and C2 of every candidate of every ``(candidates, volumes)`` segment.
-
-        Each segment is one election.  Candidates become the columns of a
-        matrix, segment after segment; row ``i`` of a column holds the term
-        of its segment's ``i``-th producer, in producer order, and rows past
-        a segment's producers are padding.  A candidate's own term and the
-        padding are set to 0.0, which leaves a running float sum unchanged,
-        so a sequential ``cumsum`` down each column equals the left-to-right
-        loop of :meth:`aggregation_cost` bit for bit.  Hops and bandwidths
-        are gathered from each segment's cached node-pair matrices.
+        Candidates are the columns of a producers × candidates matrix whose
+        row ``i`` holds producer ``i``'s term, in producer order.  A
+        candidate's own term is set to 0.0, which leaves a running float sum
+        unchanged, so a sequential ``cumsum`` down each column equals the
+        left-to-right loop of :meth:`aggregation_cost` bit for bit.  Hops
+        and bandwidths are gathered from the node-pair matrices of the
+        partition's distinct nodes, fetched once; the columns are priced
+        :data:`_BLOCK_CELLS` cells at a time to bound the temporaries.
         """
         iface = self.iface
-        columns = [_columns(volumes) for _, volumes in segments]
-        producers = np.concatenate([ranks for ranks, _ in columns])
-        nbytes = np.concatenate([nbytes for _, nbytes in columns])
-        candidates = np.concatenate([ranks for ranks, _ in segments])
+        producers, nbytes = _columns(volumes)
         if nbytes.size and nbytes.min() < 0:
-            for (ranks, volumes), (producer_ranks, producer_bytes) in zip(segments, columns):
-                _check_volumes(ranks.tolist(), producer_ranks, producer_bytes, _total(volumes))
-        heights = np.array([ranks.size for ranks, _ in columns])
-        widths = np.array([ranks.size for ranks, _ in segments])
-        producer_start = np.concatenate(([0], np.cumsum(heights)))
-        candidate_start = np.concatenate(([0], np.cumsum(widths)))
-        ids = np.arange(len(segments))
-        segment = np.concatenate((np.repeat(ids, heights), np.repeat(ids, widths)))
+            _check_volumes(candidates.tolist(), producers, nbytes, _total(volumes))
         nodes = iface.nodes_of_ranks(np.concatenate((producers, candidates)))
-        node_ids, node_start, local = _node_sets(segment, nodes, len(segments))
-        producer_local, candidate_local = local[: producers.size], local[producers.size :]
-        node_count = np.diff(node_start)
-        candidate_segment = segment[producers.size :]
+        # The partition's distinct nodes, ascending, and each rank's index
+        # into them (a set is cheaper than np.unique for the usual few nodes).
+        node_list = sorted(set(nodes.tolist()))
+        hops, bandwidths = iface.node_pair_arrays(node_list)
+        local = np.searchsorted(np.array(node_list), nodes)
+        producer_local = local[: producers.size, None]
+        candidate_local, candidate_nodes = local[producers.size :], nodes[producers.size :]
         latency = iface.get_latency()
-        volume = nbytes.astype(np.float64)
+        volume = nbytes.astype(np.float64)[:, None]
         aggregation = np.zeros(candidates.size)
-        for lo, hi in _blocks(heights.tolist(), widths.tolist()):
-            owner = candidate_segment[lo:hi]
-            first, last = int(owner[0]), int(owner[-1]) + 1
-            rows = int(heights[first:last].max())
-            if rows == 0:
-                continue
-            hop_tables, bandwidth_tables, offsets = [], [], [0]
-            for k in range(first, last):
-                hops, bandwidths = iface.node_pair_arrays(
-                    node_ids[node_start[k] : node_start[k + 1]].tolist()
-                )
-                hop_tables.append(hops.ravel())
-                bandwidth_tables.append(bandwidths.ravel())
-                offsets.append(offsets[-1] + hops.size)
-            row = np.arange(rows)[:, None]
-            valid = row < heights[owner]
-            producer = np.where(valid, producer_start[owner] + row, 0)
-            cell = (
-                np.asarray(offsets[:-1])[owner - first]
-                + np.where(valid, producer_local[producer], 0) * node_count[owner]
-                + candidate_local[lo:hi]
-            )
-            hop = _joined(hop_tables)[cell]
-            bandwidth = _joined(bandwidth_tables)[cell]
+        step = max(1, _BLOCK_CELLS // max(producers.size, 1))
+        for lo in range(0, candidates.size if producers.size else 0, step):
+            hi = lo + step
+            column = candidate_local[lo:hi]
+            bandwidth = bandwidths[producer_local, column]
             if self.contention is not None:
-                factor = np.ones(cell.shape)
-                for k in range(first, last):
-                    start, stop = max(lo, candidate_start[k]), min(hi, candidate_start[k + 1])
-                    factor[: heights[k], start - lo : stop - lo] = self._factors(
-                        producers[producer_start[k] : producer_start[k + 1]],
-                        nodes[producers.size + start : producers.size + stop],
-                    )
+                factor = self._factors(producers, candidate_nodes[lo:hi])
                 bandwidth = bandwidth / np.maximum(1.0, factor)
-            terms = latency * hop + volume[producer] / bandwidth
-            terms[~valid | (producers[producer] == candidates[lo:hi])] = 0.0
+            terms = latency * hops[producer_local, column] + volume / bandwidth
+            terms[producers[:, None] == candidates[lo:hi]] = 0.0
             aggregation[lo:hi] = terms.cumsum(axis=0)[-1]
         io = np.zeros(candidates.size)
         if iface.io_locality_known():
-            distance, io_bandwidth = iface.io_arrays(nodes[producers.size :])
-            io_bytes = np.repeat([float(_total(v)) for _, v in segments], widths)
+            distance, io_bandwidth = iface.io_arrays(candidate_nodes)
             known = distance >= 0
-            io[known] = latency * distance[known] + io_bytes[known] / io_bandwidth[known]
+            io_bytes = float(_total(volumes))
+            io[known] = latency * distance[known] + io_bytes / io_bandwidth[known]
         return aggregation, io
 
     def _factors(self, producers: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -333,52 +256,11 @@ class AggregationCostModel:
         return np.column_stack(factors)[:, target_of]
 
 
-#: Cells of one padded producers × candidates block of :meth:`AggregationCostModel._price`.
-_BLOCK_CELLS = 1 << 12
-
-
-def _blocks(heights: list[int], widths: list[int]):
-    """Candidate ranges ``[lo, hi)`` priced together, in column order.
-
-    A block's padded matrix (its tallest segment's producers × its
-    candidates) stays within :data:`_BLOCK_CELLS` cells; whole segments
-    share a block, and a segment too large for one is sliced column-wise.
-    """
-    start = end = rows = 0
-    for height, width in zip(heights, widths):
-        step = max(1, _BLOCK_CELLS // max(height, 1))
-        for lo in range(0, width, step):
-            piece = min(step, width - lo)
-            if end > start and max(rows, height) * (end - start + piece) > _BLOCK_CELLS:
-                yield start, end
-                start, rows = end, 0
-            end += piece
-            rows = max(rows, height)
-    if end > start:
-        yield start, end
-
-
-def _node_sets(
-    segment: np.ndarray, nodes: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each segment's distinct nodes and every item's index into them.
-
-    Returns ``(node_ids, node_start, local)``: segment ``k``'s nodes are
-    ``node_ids[node_start[k]:node_start[k + 1]]``, ascending, and item
-    ``i`` (on node ``nodes[i]`` in segment ``segment[i]``) is node
-    ``local[i]`` of its segment's set.
-    """
-    span = int(nodes.max()) + 1
-    keys = segment * span + nodes
-    distinct = np.unique(keys)
-    node_start = np.searchsorted(distinct // span, np.arange(count + 1))
-    local = np.searchsorted(distinct, keys) - node_start[segment]
-    return distinct % span, node_start, local
-
-
-def _joined(tables: list[np.ndarray]) -> np.ndarray:
-    """The flattened tables end to end (no copy for a single one)."""
-    return tables[0] if len(tables) == 1 else np.concatenate(tables)
+#: Cells of one producers × candidates block of :meth:`AggregationCostModel._price`:
+#: 256 KiB per float64 temporary.  Electing over four 1024-node Theta
+#: partitions on a 2-vCPU x86 VM, blocks of 2**14 to 2**16 cells were equally
+#: fast; 2**12 took about 1.6x as long and 2**19 about 1.8x.
+_BLOCK_CELLS = 1 << 15
 
 
 def _columns(volumes) -> tuple[np.ndarray, np.ndarray]:
@@ -402,8 +284,6 @@ def _check_volumes(
     """Raise exactly what :meth:`AggregationCostModel.evaluate` would, per
     candidate in order: a negative volume of any producer other than the
     candidate itself, then a negative ``io_bytes``."""
-    if nbytes.size == 0 or nbytes.min() >= 0:
-        return
     negative = [
         (rank, value)
         for rank, value in zip(producers.tolist(), nbytes.tolist())

@@ -92,7 +92,7 @@ def _split(
     start: int, ranks: np.ndarray, volumes: np.ndarray, num_blocks: int
 ) -> list[Partition]:
     """Cut aligned rank/volume columns into contiguous partitions."""
-    bounds = partition_bounds(ranks.size, num_blocks).tolist()
+    bounds = partition_bounds(ranks.size, num_blocks)
     return [
         Partition(start + index, ranks[lo:hi], volumes[lo:hi])
         for index, (lo, hi) in enumerate(zip(bounds, bounds[1:]))

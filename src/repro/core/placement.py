@@ -55,6 +55,14 @@ class PlacementResult:
         return dict(enumerate(self.aggregators))
 
 
+def _topology_aware(
+    partition: Partition, model: AggregationCostModel
+) -> tuple[int, CostBreakdown]:
+    """The paper's election: every member is a candidate, C1+C2 minimised."""
+    winner, breakdowns = model.best_candidate(partition.rank_array, partition)
+    return winner, next(b for b in breakdowns if b.candidate == winner)
+
+
 def _shortest_io(
     partition: Partition, iface: TopologyInterface, model: AggregationCostModel
 ) -> tuple[int, CostBreakdown]:
@@ -91,9 +99,10 @@ def node_level_partitions(
     """
     sizes = [p.size for p in partitions]
     ranks = np.concatenate([p.rank_array for p in partitions])
+    nodes = iface.nodes_of_ranks(ranks)
     # One sort key per (partition, node); ranks break ties within a node.
-    span = iface.mapping.num_nodes
-    key = np.repeat(np.arange(len(partitions)), sizes) * span + iface.nodes_of_ranks(ranks)
+    span = int(nodes.max()) + 1
+    key = np.repeat(np.arange(len(partitions)), sizes) * span + nodes
     order = np.lexsort((ranks, key))
     key = key[order]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -156,25 +165,23 @@ def place_aggregators(
     ):
         if granularity == "node":
             partitions = node_level_partitions(partitions, iface)
-        if strategy == "topology-aware":
-            winners = model.elect(partitions)
-            result.aggregators = [b.candidate for b in winners]
-            result.breakdowns = {p.index: b for p, b in zip(partitions, winners)}
-        else:
-            for partition in partitions:
-                if strategy == "shortest-io":
-                    winner, breakdown = _shortest_io(partition, iface, model)
-                    result.breakdowns[partition.index] = breakdown
-                elif strategy == "max-volume":
-                    winner = _max_volume(partition)
-                elif strategy == "rank-order":
-                    winner = int(partition.rank_array[0])
-                elif strategy == "random":
-                    assert rng is not None
-                    winner = int(partition.rank_array[rng.integers(0, partition.size)])
-                else:
-                    raise ValueError(f"unknown placement strategy {strategy!r}")
-                result.aggregators.append(winner)
+        for partition in partitions:
+            if strategy == "topology-aware":
+                winner, breakdown = _topology_aware(partition, model)
+                result.breakdowns[partition.index] = breakdown
+            elif strategy == "shortest-io":
+                winner, breakdown = _shortest_io(partition, iface, model)
+                result.breakdowns[partition.index] = breakdown
+            elif strategy == "max-volume":
+                winner = _max_volume(partition)
+            elif strategy == "rank-order":
+                winner = int(partition.rank_array[0])
+            elif strategy == "random":
+                assert rng is not None
+                winner = int(partition.rank_array[rng.integers(0, partition.size)])
+            else:
+                raise ValueError(f"unknown placement strategy {strategy!r}")
+            result.aggregators.append(winner)
     rec = obs_recorder()
     if rec is not None:
         rec.inc("placement.partitions", len(partitions), strategy=strategy)

@@ -28,7 +28,7 @@ from repro.utils.rng import seeded_rng
 from repro.utils.validation import require, require_positive
 
 
-def partition_bounds(num_ranks: int, num_partitions: int) -> np.ndarray:
+def partition_bounds(num_ranks: int, num_partitions: int) -> list[int]:
     """Boundaries of ``num_partitions`` contiguous rank blocks (first blocks larger).
 
     Block ``i`` is ``range(bounds[i], bounds[i + 1])``; there are at most
@@ -41,14 +41,12 @@ def partition_bounds(num_ranks: int, num_partitions: int) -> np.ndarray:
     require_positive(num_partitions, "num_partitions")
     num_partitions = min(num_partitions, num_ranks)
     base, extra = divmod(num_ranks, num_partitions)
-    sizes = np.full(num_partitions, base, dtype=np.int64)
-    sizes[:extra] += 1
-    return np.concatenate(([0], np.cumsum(sizes)))
+    return [index * base + min(index, extra) for index in range(num_partitions + 1)]
 
 
 def partition_ranks(num_ranks: int, num_partitions: int) -> list[list[int]]:
     """The blocks of :func:`partition_bounds` as lists of ranks."""
-    bounds = partition_bounds(num_ranks, num_partitions).tolist()
+    bounds = partition_bounds(num_ranks, num_partitions)
     return [list(range(start, stop)) for start, stop in zip(bounds, bounds[1:])]
 
 
@@ -56,7 +54,7 @@ def rank_order_aggregators(
     num_ranks: int, num_aggregators: int
 ) -> list[int]:
     """Generic ROMIO policy: the first rank of each contiguous rank block."""
-    return partition_bounds(num_ranks, num_aggregators)[:-1].tolist()
+    return partition_bounds(num_ranks, num_aggregators)[:-1]
 
 
 def bridge_first_aggregators(
@@ -68,7 +66,7 @@ def bridge_first_aggregators(
     becomes the aggregator; otherwise the partition's first rank is used.
     On machines without bridge nodes this degenerates to rank order.
     """
-    bounds = partition_bounds(mapping.num_ranks, num_aggregators)
+    bounds = np.asarray(partition_bounds(mapping.num_ranks, num_aggregators))
     if isinstance(machine, MiraMachine):
         bridge_nodes = machine.bridge_nodes()
     else:
@@ -86,7 +84,7 @@ def random_aggregators(
 ) -> list[int]:
     """One uniformly random aggregator per contiguous rank partition."""
     rng = seeded_rng(seed)
-    bounds = partition_bounds(num_ranks, num_aggregators).tolist()
+    bounds = partition_bounds(num_ranks, num_aggregators)
     return [
         start + int(rng.integers(0, stop - start))
         for start, stop in zip(bounds, bounds[1:])

@@ -265,7 +265,10 @@ class Topology(abc.ABC):
         ``_batch_distances`` where the geometry allows it.
         """
         self.validate_node(node)
-        ids = self._as_node_array(nodes)
+        return self._distances_row(node, self._as_node_array(nodes))
+
+    def _distances_row(self, node: int, ids: np.ndarray) -> np.ndarray:
+        """:meth:`distances_from` over already validated ``ids``."""
         if fastpath_enabled():
             batched = self._batch_distances(node, ids)
             if batched is not None:
@@ -289,7 +292,10 @@ class Topology(abc.ABC):
         kernel via ``_batch_path_bandwidths``.
         """
         self.validate_node(node)
-        ids = self._as_node_array(nodes)
+        return self._path_bandwidths_row(node, self._as_node_array(nodes))
+
+    def _path_bandwidths_row(self, node: int, ids: np.ndarray) -> np.ndarray:
+        """:meth:`path_bandwidths_from` over already validated ``ids``."""
         if fastpath_enabled():
             batched = self._batch_path_bandwidths(node, ids)
             if batched is not None:
@@ -335,10 +341,11 @@ class Topology(abc.ABC):
         size = len(key)
         hops = np.empty((size, size), dtype=np.int64)
         bandwidths = np.empty((size, size), dtype=np.float64)
-        ids = np.asarray(key, dtype=np.int64)
+        # Validated once for the whole set, not once per row.
+        ids = self._as_node_array(key)
         for row, node in enumerate(key):
-            hops[row] = self.distances_from(node, ids)
-            bandwidths[row] = self.path_bandwidths_from(node, ids)
+            hops[row] = self._distances_row(node, ids)
+            bandwidths[row] = self._path_bandwidths_row(node, ids)
         # The eviction budget counts matrix cells, not entries: thousands of
         # small partition sets fit alongside a handful of machine-wide ones.
         if self.__dict__["_fp_pair_cells"] + size * size > _MAX_PAIR_CELLS:

@@ -111,32 +111,41 @@ def test_node_granularity_matches_scalar(kind, contended):
 
 @pytest.mark.parametrize("kind", sorted(MACHINES))
 @pytest.mark.parametrize("contended", [False, True])
-@pytest.mark.parametrize("block_cells", [None, 7])
-def test_elect_over_many_partitions_matches_scalar(kind, contended, block_cells, monkeypatch):
-    """One batched election of partitions of mixed sizes, optionally priced
-    in tiny blocks so partitions are padded together and sliced apart."""
-    if block_cells is not None:
-        monkeypatch.setattr(cost_model, "_BLOCK_CELLS", block_cells)
+def test_pricing_in_small_column_blocks_matches_scalar(kind, contended, monkeypatch):
+    """A partition whose matrix exceeds one block is priced in column slices."""
+    monkeypatch.setattr(cost_model, "_BLOCK_CELLS", 7)
     rng = seeded_rng(404)
-    model, num_ranks = _model(kind, seed=3, contended=contended)
-    order = rng.permutation(num_ranks)
-    cuts = sorted(int(c) for c in rng.choice(range(1, 60), size=5, replace=False))
-    partitions = [
-        Partition(index, sorted(order[lo:hi].tolist()), rng.integers(0, 1 << 20, hi - lo))
-        for index, (lo, hi) in enumerate(zip([0] + cuts, cuts + [64]))
-    ]
-    for granularity in ("rank", "node"):
-        if granularity == "node":
-            partitions = node_level_partitions(partitions, model.iface)
-        winners = model.elect(partitions)
-        for partition, winner in zip(partitions, winners):
-            reference = [
-                model.evaluate(c, partition.bytes_per_rank) for c in partition.ranks
-            ]
-            expected = min(reference, key=lambda b: (b.total, b.candidate))
-            assert _bits(winner) == _bits(expected)
-        with fastpath_disabled():
-            assert model.elect(partitions) == winners
+    for trial in range(3):
+        model, num_ranks = _model(kind, seed=3 + trial, contended=contended)
+        partition = _random_partition(rng, num_ranks, size=int(rng.integers(2, 30)))
+        _assert_matches_scalar(model, partition.rank_array.tolist(), partition)
+
+
+def test_a_large_partition_fetches_its_node_pair_tables_once(monkeypatch):
+    """Theta at 4096 nodes with the default one-OST stripe elects over four
+    1024-node partitions: each election gathers one node-pair table and
+    slices it into many column blocks, never refetching it per block."""
+    from repro.core.partitioning import build_partitions
+    from repro.core.placement import place_aggregators
+    from repro.topology.mapping import block_mapping
+    from repro.workloads.ior import IORWorkload
+
+    machine = ThetaMachine(4096)
+    mapping = block_mapping(4096, 4096, 1)
+    iface = TopologyInterface(machine, mapping)
+    partitions = build_partitions(IORWorkload(4096, 1 << 20), 4)
+    fetches = []
+    original = TopologyInterface.node_pair_arrays
+
+    def counting(self, nodes):
+        fetches.append(len(nodes))
+        return original(self, nodes)
+
+    monkeypatch.setattr(TopologyInterface, "node_pair_arrays", counting)
+    placement = place_aggregators(partitions, iface, granularity="node")
+    assert fetches == [1024] * 4
+    assert 1024 * 1024 > cost_model._BLOCK_CELLS  # so the blocks really slice
+    assert len(placement.aggregators) == 4
 
 
 @pytest.mark.parametrize("kind", sorted(MACHINES))

@@ -120,7 +120,7 @@ class TestPartitions:
     def test_contiguous_partitions_are_slices_of_the_column(self):
         workload = SyntheticWorkload(23, seed=1)
         partitions = build_partitions(workload, 5)
-        bounds = partition_bounds(23, 5).tolist()
+        bounds = partition_bounds(23, 5)
         assert [p.ranks for p in partitions] == [
             tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
         ]
