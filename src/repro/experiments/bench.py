@@ -1,10 +1,10 @@
 """The tracked benchmark suite behind ``repro bench``.
 
 Each benchmark measures one hot path of the reproduction and reports a
-throughput number; the placement and tuning benchmarks additionally run the
-same workload on the original scalar path (:mod:`repro.utils.fastpath`) so
-every ``BENCH_*.json`` documents the fast-path speedup it ships with, not
-just an absolute number that silently depends on the host.
+throughput number; the placement and interference benchmarks additionally
+run the same workload on the scalar references of :mod:`repro.reference`
+so every ``BENCH_*.json`` documents the speedup over the plain loop it ships
+with, not just an absolute number that silently depends on the host.
 
 The suite is deliberately cheap (seconds, not minutes): it exists to be run
 on every PR — ``BENCH_5.json`` at the repository root is the first point of
@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.obs.clock import timed as _timed
-from repro.utils.fastpath import fastpath_disabled
 
 #: Schema tag written into every benchmark artifact.
 BENCH_SCHEMA = "repro-bench-v1"
@@ -40,15 +39,15 @@ PLACEMENT_FLOOR_CANDIDATES_PER_S = 1500.0
 def _fresh_state() -> None:
     """Reset every cross-call cache so each measurement starts cold.
 
-    The fast path's numbers must not borrow warmth from the scalar run (or
+    The fast numbers must not borrow warmth from the reference run (or
     vice versa): memoised machines carry the per-topology route/distance
     caches, and the block-mapping memo carries the default mappings.
     """
     from repro.scenario.simulation import clear_machine_cache
-    from repro.topology.mapping import _cached_block_mapping
+    from repro.topology.mapping import block_mapping
 
     clear_machine_cache()
-    _cached_block_mapping.cache_clear()
+    block_mapping.cache_clear()
 
 
 def bench_placement(
@@ -64,17 +63,19 @@ def bench_placement(
     ``num_aggregators`` partitions and elects aggregators at node
     granularity — the analytic models' hot loop.  With few aggregators every
     partition spans many nodes, which is the quadratic
-    (candidates × senders) worst case the fast path is built for.
+    (candidates × senders) worst case the columnar election is built for.
+    The scalar leg elects through :func:`repro.reference.reference_placement`.
     """
     from repro.core.partitioning import build_partitions
     from repro.core.placement import place_aggregators
     from repro.core.topology_iface import TopologyInterface
     from repro.machine.mira import MiraMachine
     from repro.machine.theta import ThetaMachine
+    from repro.reference import reference_placement
     from repro.topology.mapping import block_mapping
     from repro.workloads.hacc import HACCIOWorkload
 
-    def run() -> tuple[int, float]:
+    def run(place) -> tuple[int, list[int], float]:
         machine = (
             ThetaMachine(nodes) if machine_kind == "theta" else MiraMachine(nodes)
         )
@@ -89,19 +90,17 @@ def bench_placement(
             len({mapping.node(rank) for rank in p.ranks}) for p in partitions
         )
         placement, wall = _timed(
-            lambda: place_aggregators(
-                partitions, iface, strategy="topology-aware", granularity="node"
-            )
+            lambda: place(partitions, iface, granularity="node")
         )
         assert len(placement.aggregators) == len(partitions)
-        return candidates, wall
+        return candidates, placement.aggregators, wall
 
     _fresh_state()
-    with fastpath_disabled():
-        candidates, scalar_wall = run()
+    candidates, scalar_winners, scalar_wall = run(reference_placement)
     _fresh_state()
-    fast_candidates, fast_wall = run()
+    fast_candidates, fast_winners, fast_wall = run(place_aggregators)
     assert fast_candidates == candidates
+    assert fast_winners == scalar_winners, "fast placement diverged from the reference"
     return {
         "machine": machine_kind,
         "nodes": nodes,
@@ -195,8 +194,10 @@ def bench_tune(
 
     This is the in-process counterpart of the CI ``repro tune fig08`` smoke
     step: a seeded random search over the target's suggested space, scored
-    through the simulation facade.  Fast and scalar modes both start from
-    cold caches.
+    through the simulation facade, starting from cold caches.  An untimed
+    first search warms the interpreter (imports, registries), as the
+    scalar leg of earlier ``BENCH_*.json`` points did, so the number stays
+    comparable with them.
     """
     from repro.autotune.defaults import as_tunable, suggest_space
     from repro.autotune.tuner import TuneTarget, Tuner
@@ -217,20 +218,15 @@ def bench_tune(
         trace, wall = _timed(lambda: tuner.tune("random", budget))
         return len(trace.points), wall
 
+    run()
     _fresh_state()
-    with fastpath_disabled():
-        scalar_points, scalar_wall = run()
-    _fresh_state()
-    fast_points, fast_wall = run()
-    assert fast_points == scalar_points
+    points, wall = run()
     return {
         "target": target,
         "budget": budget,
         "scale": scale,
-        "points": fast_points,
-        "scalar": {"wall_s": scalar_wall, "points_per_s": scalar_points / scalar_wall},
-        "fast": {"wall_s": fast_wall, "points_per_s": fast_points / fast_wall},
-        "speedup": scalar_wall / fast_wall,
+        "points": points,
+        "fast": {"wall_s": wall, "points_per_s": points / wall},
     }
 
 
@@ -244,8 +240,8 @@ def bench_interference(
 ) -> dict:
     """Contention-engine throughput: ledger allocations/s and sweep wall time.
 
-    Two measurements, each run on the vectorised fast path and on the
-    scalar reference (:mod:`repro.utils.fastpath`) in the same process:
+    Two measurements, each run on the production classes and on their
+    scalar references (:mod:`repro.reference`) in the same process:
 
     - A water-filling microbenchmark on a synthetic ledger of ``flows``
       flows over ``4 * flows`` shared resources (64 × 256 by default).
@@ -255,9 +251,9 @@ def bench_interference(
       itself.
     - A staggered-arrival multi-job sweep on Theta: ``sweep_jobs`` IOR
       jobs with overlapping stripes, fluid-advanced to completion.  Here
-      the fast path additionally benefits from the allocation memo (the
-      active set only changes at arrivals and completions), which is the
-      shape the interference experiments actually execute.
+      the production ledger additionally benefits from its allocation memo
+      (the active set only changes at arrivals and completions), which is
+      the shape the interference experiments actually execute.
     """
     import random
 
@@ -265,15 +261,16 @@ def bench_interference(
     from repro.machine.theta import ThetaMachine
     from repro.multijob import JobSpec, MultiJobRuntime
     from repro.multijob.contention import ContentionLedger
+    from repro.reference import ReferenceContentionLedger, ReferenceMultiJobRuntime
     from repro.utils.units import GB, MB, MIB
     from repro.workloads.ior import IORWorkload
 
     resources = 4 * flows
     names = [f"flow{index:03d}" for index in range(flows)]
 
-    def build_ledger() -> ContentionLedger:
+    def build_ledger(ledger_class: type[ContentionLedger]) -> ContentionLedger:
         rng = random.Random(2017)
-        ledger = ContentionLedger()
+        ledger = ledger_class()
         for index in range(resources):
             ledger.add_resource(("ost", index), (1.0 + index % 7) * GB)
         for index, name in enumerate(names):
@@ -286,8 +283,8 @@ def bench_interference(
             )
         return ledger
 
-    def run_ledger() -> float:
-        ledger = build_ledger()
+    def run_ledger(ledger_class: type[ContentionLedger]) -> float:
+        ledger = build_ledger(ledger_class)
 
         def solve_rounds() -> None:
             for round_index in range(rounds):
@@ -297,7 +294,7 @@ def bench_interference(
         _, wall = _timed(solve_rounds)
         return wall
 
-    def run_sweep() -> tuple[float, float]:
+    def run_sweep(runtime_class: type[MultiJobRuntime]) -> tuple[float, float]:
         machine = ThetaMachine(4 * sweep_jobs)
         ranks = 4 * 16
         specs = [
@@ -316,21 +313,19 @@ def bench_interference(
             )
             for index in range(sweep_jobs)
         ]
-        runtime = MultiJobRuntime(machine, specs, slice_s=sweep_slice_s)
+        runtime = runtime_class(machine, specs, slice_s=sweep_slice_s)
         report, wall = _timed(runtime.run)
         return report.makespan_s(), wall
 
     _fresh_state()
-    with fastpath_disabled():
-        ledger_scalar_wall = run_ledger()
+    ledger_scalar_wall = run_ledger(ReferenceContentionLedger)
     _fresh_state()
-    ledger_fast_wall = run_ledger()
+    ledger_fast_wall = run_ledger(ContentionLedger)
     _fresh_state()
-    with fastpath_disabled():
-        scalar_makespan, sweep_scalar_wall = run_sweep()
+    scalar_makespan, sweep_scalar_wall = run_sweep(ReferenceMultiJobRuntime)
     _fresh_state()
-    fast_makespan, sweep_fast_wall = run_sweep()
-    assert fast_makespan == scalar_makespan, "fast sweep diverged from scalar"
+    fast_makespan, sweep_fast_wall = run_sweep(MultiJobRuntime)
+    assert fast_makespan == scalar_makespan, "fast sweep diverged from the reference"
     return {
         "flows": flows,
         "resources": resources,
@@ -567,9 +562,7 @@ def render_suite(payload: dict) -> str:
     tune = results.get("tune")
     if tune is not None:
         lines.append(
-            f"  tune/{tune['target']:<11} {tune['fast']['points_per_s']:>10,.1f} "
-            f"points/s      (scalar {tune['scalar']['points_per_s']:,.1f}, "
-            f"speedup {tune['speedup']:.1f}x)"
+            f"  tune/{tune['target']:<11} {tune['fast']['points_per_s']:>10,.1f} points/s"
         )
     interference = results.get("interference")
     if interference is not None:

@@ -12,7 +12,8 @@ import argparse
 import sys
 from datetime import date
 
-from repro.experiments.harness import list_experiments, run_experiment
+from repro.core.api import evaluate
+from repro.experiments.harness import list_experiments
 from repro.experiments.results import ExperimentResult, format_optimality_gap
 from repro.experiments.store import ArtifactStore
 
@@ -108,7 +109,7 @@ def generate_report(*, scale: float = 1.0, ids: list[str] | None = None) -> str:
     sections = [_PREAMBLE]
     sections.append(f"_Generated on {date.today().isoformat()} at scale divisor {scale:g}._\n")
     for experiment_id in experiment_ids:
-        result = run_experiment(experiment_id, scale=scale)
+        result = evaluate(experiment_id, scale=scale).result
         sections.append(_section(result))
     return "\n".join(sections)
 

@@ -24,7 +24,7 @@ Instrumented call sites follow one pattern::
     with span("placement", strategy=name):      # no-op object when off
         rec = recorder()                        # None when off
         if rec is not None:
-            rec.inc("costmodel.candidates", n, path="fast")
+            rec.inc("costmodel.candidates", n)
 """
 
 from repro.obs.clock import WALL_DECIMALS, elapsed_s, now, round_wall, timed

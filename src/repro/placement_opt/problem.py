@@ -26,7 +26,7 @@ number of nodes).
 
 Candidate costs are computed from the same vectorised
 :meth:`~repro.core.topology_iface.TopologyInterface.node_pair_arrays`
-kernels the placement fast path uses, over the same per-node collapse.
+kernels the placement election uses, over the same per-node collapse.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 :meth:`AggregationCostModel.best_candidate` prices every candidate of a
 partition at once as a producers × candidates matrix.  These seeded
-property tests compare it, candidate by candidate and bit for bit, with the
+property tests compare it, candidate by candidate and bit for bit, with
+:func:`repro.reference.reference_best_candidate`, the loop over the
 per-candidate scalar :meth:`AggregationCostModel.evaluate`: on a machine
 with known I/O locality (Mira), one without (Theta) and a generic cluster;
 at rank and node granularity; with and without background contention; on
@@ -22,8 +23,8 @@ from repro.machine.generic import generic_cluster
 from repro.machine.mira import MiraMachine
 from repro.machine.theta import ThetaMachine
 from repro.multijob.contention import LinkContentionFactors
+from repro.reference import reference_best_candidate
 from repro.topology.mapping import block_mapping, random_mapping
-from repro.utils.fastpath import fastpath_disabled, fastpath_enabled, set_fastpath
 from repro.utils.rng import seeded_rng
 
 RANKS_PER_NODE = 4
@@ -33,15 +34,6 @@ MACHINES = {
     "theta": lambda: ThetaMachine(32),
     "generic": lambda: generic_cluster(32, nodes_per_leaf=8, num_gateways=2),
 }
-
-
-@pytest.fixture(autouse=True)
-def _force_fastpath():
-    """The columnar kernel is the fast path, so it must start on."""
-    previous = fastpath_enabled()
-    set_fastpath(True)
-    yield
-    set_fastpath(previous)
 
 
 def _model(kind: str, *, seed: int, contended: bool = False):
@@ -76,10 +68,11 @@ def _bits(breakdown) -> tuple:
 
 def _assert_matches_scalar(model, candidates, partition) -> None:
     winner, breakdowns = model.best_candidate(candidates, partition)
-    reference = [model.evaluate(c, partition.bytes_per_rank) for c in candidates]
+    expected, reference = reference_best_candidate(
+        model, candidates, partition.bytes_per_rank
+    )
     assert [_bits(b) for b in breakdowns] == [_bits(b) for b in reference]
-    expected = min(reference, key=lambda b: (b.total, b.candidate))
-    assert winner == expected.candidate
+    assert winner == expected
     # The mapping form of the same volumes takes the same kernel.
     assert model.best_candidate(candidates, partition.bytes_per_rank) == (
         winner,
@@ -184,8 +177,8 @@ def test_ties_break_toward_the_lowest_rank(kind):
 def test_negative_volume_raises_the_scalar_message(volumes, candidates):
     machine = ThetaMachine(8)
     model = AggregationCostModel(TopologyInterface(machine, block_mapping(16, 8, 2)))
-    with fastpath_disabled(), pytest.raises(ValueError) as scalar:
-        model.best_candidate(candidates, volumes)
+    with pytest.raises(ValueError) as scalar:
+        reference_best_candidate(model, candidates, volumes)
     with pytest.raises(ValueError) as fast:
         model.best_candidate(candidates, volumes)
     assert str(fast.value) == str(scalar.value)

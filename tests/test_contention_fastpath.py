@@ -1,18 +1,19 @@
 """The vectorised contention engine against its scalar reference.
 
-Three contracts of the fast path (``repro.utils.fastpath``):
+Three contracts of the production engine against :mod:`repro.reference`:
 
-- ``ContentionLedger.allocate`` on the numpy water-filling path is
-  *bit-for-bit* equal to the dict-based scalar loop — both run the identical
-  sequence of IEEE additions — across seeded instances spanning the
-  demand-capped, resource-capped and mixed freeze regimes.
+- ``ContentionLedger.allocate`` (numpy water-filling) is *bit-for-bit*
+  equal to ``ReferenceContentionLedger.allocate`` (the dict-based scalar
+  loop) — both run the identical sequence of IEEE additions — across seeded
+  instances spanning the demand-capped, resource-capped and mixed freeze
+  regimes.
 - The allocation memo only changes how often the solver runs
   (``sim.contention_allocations``), never the water-fill work it reports
   (``sim.contention_iterations``) or the rates, and every registration
   change invalidates it.
-- ``MultiJobRuntime`` produces identical outcomes and peak utilizations on
-  both slice loops, and raises :class:`StarvedFlowError` instead of
-  spinning when no byte can ever move again.
+- ``MultiJobRuntime`` produces the outcomes and peak utilizations of
+  ``ReferenceMultiJobRuntime``, and both raise :class:`StarvedFlowError`
+  instead of spinning when no byte can ever move again.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 from repro.multijob.contention import ContentionLedger, LinkContentionFactors
 from repro.obs.recorder import collecting
-from repro.utils.fastpath import fastpath_disabled, fastpath_enabled
+from repro.reference import ReferenceContentionLedger, reference_best_candidate
 from repro.utils.rng import seeded_rng
 
 #: (name, capacity range, demand range) — the three freeze regimes: flows
@@ -50,6 +51,11 @@ def build_instance(rng, capacity_range, demand_range) -> ContentionLedger:
             f"flow{flow_index}", float(rng.uniform(*demand_range)), weights
         )
     return ledger
+
+
+def reference_twin(ledger: ContentionLedger) -> ReferenceContentionLedger:
+    """The same resources and flows in a scalar reference ledger."""
+    return ReferenceContentionLedger(dict(ledger.resources), dict(ledger.flows))
 
 
 def assert_valid_max_min(ledger: ContentionLedger, rates: dict) -> None:
@@ -89,10 +95,8 @@ class TestVectorisedEqualsScalar:
         for _ in range(70):
             ledger = build_instance(rng, capacity_range, demand_range)
             ids = list(ledger.flows)
-            assert fastpath_enabled()
             fast = ledger.allocate(ids)
-            with fastpath_disabled():
-                scalar = ledger.allocate(ids)
+            scalar = reference_twin(ledger).allocate(ids)
             assert fast == scalar, f"{regime}: fast and scalar rates diverged"
             assert_valid_max_min(ledger, fast)
             assert_valid_max_min(ledger, scalar)
@@ -101,10 +105,10 @@ class TestVectorisedEqualsScalar:
         rng = seeded_rng(7)
         ledger = build_instance(rng, (0.5, 20.0), (0.1, 30.0))
         ids = list(ledger.flows)
+        reference = reference_twin(ledger)
         for active in (ids[::2], list(reversed(ids)), ids[:1]):
             fast = ledger.allocate(active)
-            with fastpath_disabled():
-                assert ledger.allocate(active) == fast
+            assert reference.allocate(active) == fast
 
     def test_single_resource_instances_stay_bit_equal(self):
         """One shared resource is the degenerate matrix shape (one column)."""
@@ -119,8 +123,7 @@ class TestVectorisedEqualsScalar:
                     {("pipe",): float(rng.uniform(0.05, 1.0))},
                 )
             fast = ledger.allocate()
-            with fastpath_disabled():
-                assert ledger.allocate() == fast
+            assert reference_twin(ledger).allocate() == fast
 
 
 class TestAllocationMemo:
@@ -148,13 +151,13 @@ class TestAllocationMemo:
             solved = rec.counter("sim.contention_iterations").value
             ledger.allocate(["a", "b"])  # memo hit re-counts the same work
             assert rec.counter("sim.contention_iterations").value == 2 * solved
-        with fastpath_disabled():
-            with collecting() as rec:
-                ledger.allocate(["a", "b"])
-                assert rec.counter("sim.contention_iterations").value == solved
-                # The scalar path never memoises: every call is a solve.
-                ledger.allocate(["a", "b"])
-                assert rec.counter("sim.contention_allocations").value == 2
+        reference = reference_twin(ledger)
+        with collecting() as rec:
+            reference.allocate(["a", "b"])
+            assert rec.counter("sim.contention_iterations").value == solved
+            # The reference never memoises: every call is a solve.
+            reference.allocate(["a", "b"])
+            assert rec.counter("sim.contention_allocations").value == 2
 
     @pytest.mark.parametrize(
         "invalidate",
@@ -182,10 +185,13 @@ class TestAllocationMemo:
 
 
 class TestRuntimeEquivalence:
-    def build_runtime(self, mb_per_rank: int = 64, jobs: int = 4):
+    def build_runtime(
+        self, mb_per_rank: int = 64, jobs: int = 4, *, reference: bool = False
+    ):
         from repro.core.config import TapiocaConfig
         from repro.machine.theta import ThetaMachine
         from repro.multijob import JobSpec, MultiJobRuntime
+        from repro.reference import ReferenceMultiJobRuntime
         from repro.utils.units import MB, MIB
         from repro.workloads.ior import IORWorkload
 
@@ -204,13 +210,12 @@ class TestRuntimeEquivalence:
             )
             for index in range(jobs)
         ]
-        return MultiJobRuntime(machine, specs, slice_s=0.5)
+        runtime_class = ReferenceMultiJobRuntime if reference else MultiJobRuntime
+        return runtime_class(machine, specs, slice_s=0.5)
 
     def test_fast_and_scalar_runs_are_bit_identical(self):
-        assert fastpath_enabled()
         fast = self.build_runtime().run()
-        with fastpath_disabled():
-            scalar = self.build_runtime().run()
+        scalar = self.build_runtime(reference=True).run()
         assert fast.peak_utilization == scalar.peak_utilization
         for fast_outcome, scalar_outcome in zip(fast.outcomes, scalar.outcomes):
             assert fast_outcome == scalar_outcome
@@ -218,23 +223,19 @@ class TestRuntimeEquivalence:
     def test_multi_gigabyte_jobs_complete_on_both_paths(self):
         """Regression: totals whose float ulp exceeds the absolute byte
         tolerance used to strand jobs in a zero-width-slice loop."""
-        for disable in (False, True):
-            runtime = self.build_runtime(mb_per_rank=2048, jobs=2)
-            if disable:
-                with fastpath_disabled():
-                    report = runtime.run()
-            else:
-                report = runtime.run()
+        for reference in (False, True):
+            runtime = self.build_runtime(mb_per_rank=2048, jobs=2, reference=reference)
+            report = runtime.run()
             assert all(outcome.finish_s > 0.0 for outcome in report.outcomes)
             assert report.conserves_bandwidth()
 
 
 class TestStarvedFlowDetection:
-    @pytest.mark.parametrize("disable", [False, True], ids=["fast", "scalar"])
-    def test_all_zero_rates_raise_instead_of_spinning(self, disable, monkeypatch):
+    @pytest.mark.parametrize("reference", [False, True], ids=["fast", "scalar"])
+    def test_all_zero_rates_raise_instead_of_spinning(self, reference, monkeypatch):
         from repro.multijob.runtime import StarvedFlowError
 
-        runtime = TestRuntimeEquivalence().build_runtime(jobs=2)
+        runtime = TestRuntimeEquivalence().build_runtime(jobs=2, reference=reference)
         real_allocate = runtime.ledger.allocate
         solo_calls = {"left": len(runtime.jobs)}
 
@@ -250,11 +251,7 @@ class TestStarvedFlowDetection:
 
         monkeypatch.setattr(runtime.ledger, "allocate", saturated)
         with pytest.raises(StarvedFlowError, match="job0.*saturated"):
-            if disable:
-                with fastpath_disabled():
-                    runtime.run()
-            else:
-                runtime.run()
+            runtime.run()
 
     def test_zero_rates_with_a_pending_arrival_jump_to_it(self, monkeypatch):
         """Starvation is only terminal once no arrival can free capacity."""
@@ -317,11 +314,9 @@ class TestPlacementContentionFastPath:
         model, _, _ = self.build_model(background)
         volumes = {rank: int(1024 * (1 + rank % 7)) for rank in range(0, 64, 2)}
         candidates = list(volumes)[:16]
-        assert fastpath_enabled()
         fast_winner, fast_breakdowns = model.best_candidate(candidates, volumes)
-        with fastpath_disabled():
-            scalar_winner, scalar_breakdowns = model.best_candidate(
-                candidates, volumes
-            )
+        scalar_winner, scalar_breakdowns = reference_best_candidate(
+            model, candidates, volumes
+        )
         assert fast_winner == scalar_winner
         assert fast_breakdowns == scalar_breakdowns

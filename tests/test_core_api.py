@@ -129,28 +129,9 @@ class TestObjectiveMode:
 
 
 class TestCompatibilityShims:
-    def test_run_experiment_still_works(self):
-        from repro.experiments.harness import run_experiment
-
-        result = run_experiment("fig07", scale=SCALE)
-        assert result.experiment_id == "fig07"
-
     def test_result_methods_round_trip(self):
         result = evaluate("fig07", scale=SCALE).result
         assert ExperimentResult.from_dict(result.to_dict()) == result
         assert ExperimentResult.from_json(result.to_json()) == result
         payload = json.loads(result.to_json())
         assert payload["experiment_id"] == "fig07"
-
-    def test_store_module_functions_warn(self):
-        from repro.experiments import store
-
-        result = evaluate("fig07", scale=SCALE).result
-        with pytest.warns(DeprecationWarning, match="to_dict"):
-            payload = store.result_to_dict(result)
-        with pytest.warns(DeprecationWarning, match="from_dict"):
-            assert store.result_from_dict(payload) == result
-        with pytest.warns(DeprecationWarning):
-            text = store.to_json(result)
-        with pytest.warns(DeprecationWarning):
-            assert store.from_json(text) == result

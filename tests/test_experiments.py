@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.core.api import evaluate
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentResult,
     Series,
     list_experiments,
-    run_all,
-    run_experiment,
+    run_experiments,
 )
 
 #: Scale divisor used in tests: node counts are divided by this to keep the
@@ -67,10 +67,10 @@ class TestRegistry:
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
-            run_experiment("fig99")
+            evaluate("fig99")
 
     def test_run_all_subset(self):
-        results = run_all(scale=TEST_SCALE, ids=["table1", "fig10"])
+        results = run_experiments(["table1", "fig10"], scale=TEST_SCALE).results()
         assert set(results) == {"table1", "fig10"}
 
 
@@ -82,7 +82,7 @@ def test_experiment_checks_pass_at_reduced_scale(experiment_id):
     here the node counts are divided by ``TEST_SCALE`` to keep the unit-test
     run fast.
     """
-    result = run_experiment(experiment_id, scale=TEST_SCALE)
+    result = evaluate(experiment_id, scale=TEST_SCALE).result
     assert isinstance(result, ExperimentResult)
     assert result.series, "experiment produced no series"
     for series in result.series:
