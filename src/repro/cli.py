@@ -23,7 +23,6 @@ Usage (after ``pip install -e .``)::
         --particles 25000 --layout soa         # one-off TAPIOCA vs MPI I/O estimate
     python -m repro profile fig08 --scale 8    # per-phase time breakdown
     python -m repro run fig08 --trace t.json   # ...any run with a Chrome trace
-    python -m repro bench --history            # BENCH_*.json trajectory table
     python -m repro figures --all --from artifacts/ --out figures/
                                                # paper figures + deviation report
     python -m repro dash --check               # perf dashboard, gate on floors
@@ -437,28 +436,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    """Print the ``BENCH_*.json`` trajectory and gate on the throughput floor."""
-    from repro.experiments.bench import (
-        history_regressions,
-        history_row,
-        load_history,
-        render_history,
-    )
-
-    warn = lambda message: print(f"warning: {message}", file=sys.stderr)  # noqa: E731
-    history = load_history(args.history_root, on_warning=warn)
-    if not history:
-        print(f"no BENCH_*.json artifacts under {args.history_root}", file=sys.stderr)
-        return 1
-    rows = [history_row(name, payload) for name, payload in history]
-    print(render_history(rows, as_csv=args.csv))
-    problems = history_regressions(rows)
-    for problem in problems:
-        print(f"error: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
 #: Default ``repro bench`` outputs: a git-ignored directory, so a bare run
 #: never overwrites the committed ``BENCH_<n>.json`` history.
 _BENCH_OUT = "artifacts/bench.json"
@@ -469,8 +446,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the tracked benchmark suite and write a ``BENCH_*.json`` artifact."""
     from repro.experiments.bench import render_suite, run_serve_suite, run_suite
 
-    if args.history:
-        return _cmd_bench_history(args)
     progress = lambda message: print(f"bench: {message}", file=sys.stderr)  # noqa: E731
     if args.serve:
         payload = run_serve_suite(
@@ -1087,24 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RATE",
         help="fail (exit 1) when the placement throughput drops below "
         "RATE candidates/s on either machine (the CI regression floor)",
-    )
-    bench_parser.add_argument(
-        "--history",
-        action="store_true",
-        help="print the trajectory across every BENCH_*.json instead of "
-        "benchmarking; exits 1 if the latest placement throughput is below "
-        "the regression floor",
-    )
-    bench_parser.add_argument(
-        "--history-root",
-        default=".",
-        metavar="DIR",
-        help="where to look for BENCH_*.json (default: the current directory)",
-    )
-    bench_parser.add_argument(
-        "--csv",
-        action="store_true",
-        help="emit the --history trajectory as CSV instead of a table",
     )
     bench_parser.set_defaults(func=_cmd_bench, parser=bench_parser)
 

@@ -496,23 +496,7 @@ class Tapioca:
 
     def simulate_write(self, *, path: str = "/out/tapioca.dat") -> SimulationOutcome:
         """Run the full TAPIOCA write protocol on the discrete-event MPI."""
-        from repro.core.runtime import TapiocaIO
-
-        workload = self._require_workload()
-        world = self._build_world()
-        filesystem = self._filesystem_with_stripe()
-        runtime = TapiocaIO(
-            world, workload, self.config, path=path, filesystem=filesystem
-        )
-        result = world.run(runtime.write_program())
-        total = workload.total_bytes()
-        return SimulationOutcome(
-            elapsed=result.elapsed,
-            bandwidth=result.bandwidth(total),
-            total_bytes=total,
-            elected=dict(runtime.elected),
-            world_result=result,
-        )
+        return self._simulate("write", path)
 
     def simulate_read(self, *, path: str = "/out/tapioca.dat") -> SimulationOutcome:
         """Run the full TAPIOCA read protocol on the discrete-event MPI.
@@ -521,15 +505,23 @@ class Tapioca:
         :meth:`simulate_write` with the same path, or directly through the
         returned world's file registry).
         """
+        return self._simulate("read", path)
+
+    def _simulate(self, access: str, path: str) -> SimulationOutcome:
+        """Run :meth:`TapiocaIO.write` or :meth:`TapiocaIO.read` on a fresh world."""
         from repro.core.runtime import TapiocaIO
 
         workload = self._require_workload()
         world = self._build_world()
-        filesystem = self._filesystem_with_stripe()
         runtime = TapiocaIO(
-            world, workload, self.config, path=path, filesystem=filesystem
+            world,
+            workload,
+            self.config,
+            path=path,
+            filesystem=self._filesystem_with_stripe(),
         )
-        result = world.run(runtime.read_program())
+        program = runtime.write_program() if access == "write" else runtime.read_program()
+        result = world.run(program)
         total = workload.total_bytes()
         return SimulationOutcome(
             elapsed=result.elapsed,

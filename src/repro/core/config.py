@@ -49,9 +49,10 @@ class TapiocaConfig:
         aggregation_tier: memory tier hosting aggregation buffers.
         shared_locks: whether collective lock sharing is enabled on the file.
         placement_seed: RNG seed for the ``"random"`` placement strategy.
-        elect_with_allreduce: in the discrete-event path, perform the
-            ``Allreduce(MINLOC)`` election (costs a real collective); when
-            False the precomputed placement is used silently (model-only).
+
+    The discrete-event path (:mod:`repro.core.runtime`) always elects each
+    partition's aggregator with the ``Allreduce(MINLOC)`` collective, so the
+    election is timed; the analytic model reuses the same placement.
     """
 
     num_aggregators: int | None = None
@@ -62,7 +63,6 @@ class TapiocaConfig:
     aggregation_tier: str = "dram"
     shared_locks: bool = True
     placement_seed: int | None = None
-    elect_with_allreduce: bool = True
 
     def __post_init__(self) -> None:
         if self.num_aggregators is not None:

@@ -35,7 +35,8 @@ from repro.obs import recorder as obs_recorder
 from repro.simmpi.engine import Event
 from repro.simmpi.errors import SimMPIError
 from repro.simmpi.request import Request
-from repro.simmpi.world import RankContext, SimWorld
+from repro.simmpi.rma import Window
+from repro.simmpi.world import BoundComm, RankContext, SimWorld
 from repro.workloads.base import Workload
 
 
@@ -122,6 +123,28 @@ class TapiocaIO:
         winner = self.placement.aggregator_of(partition.index)
         return ((0.0 if rank == winner else 1.0), rank)
 
+    def _enter_partition(
+        self, ctx: RankContext, partition_index: int
+    ) -> Generator[Event, Any, tuple[BoundComm, int, Window]]:
+        """Split (fences must only involve the partition), elect, allocate.
+
+        Shared prologue of :meth:`write` and :meth:`read`; returns the
+        partition sub-communicator, the elected world rank and the window in
+        which the aggregator exposes its ``pipeline_depth`` buffers.
+        """
+        sub = yield from ctx.comm.split(partition_index)
+        _cost, winner = yield from sub.allreduce(
+            self._election_value(ctx.rank, self.partitions[partition_index]),
+            op="minloc",
+            nbytes=16,
+        )
+        aggregator_rank = self.elected[partition_index] = int(winner)
+        depth, size = self.config.pipeline_depth, self.config.buffer_size
+        window = yield from sub.create_window(
+            depth * size if ctx.rank == aggregator_rank else 0
+        )
+        return sub, aggregator_rank, window
+
     # ------------------------------------------------------------------ #
     # Write path (Algorithm 3)
     # ------------------------------------------------------------------ #
@@ -132,26 +155,14 @@ class TapiocaIO:
         Returns the number of bytes this rank contributed.
         """
         partition_index = self.partition_index_of_rank(ctx.rank)
-        partition = self.partitions[partition_index]
         part_schedule = self.schedule.partitions[partition_index]
-        # Partition sub-communicator (fences must only involve the partition).
-        sub = yield from ctx.comm.split(partition_index)
-        # --- aggregator election ------------------------------------------------
-        if self.config.elect_with_allreduce:
-            cost, winner = yield from sub.allreduce(
-                self._election_value(ctx.rank, partition), op="minloc", nbytes=16
-            )
-            aggregator_rank = int(winner)
-        else:
-            aggregator_rank = self.placement.aggregator_of(partition_index)
-        self.elected[partition_index] = aggregator_rank
+        sub, aggregator_rank, window = yield from self._enter_partition(
+            ctx, partition_index
+        )
         is_aggregator = ctx.rank == aggregator_rank
         aggregator_sub_rank = sub.raw.comm_rank_of_world(aggregator_rank)
-        # --- buffers -------------------------------------------------------------
         depth = self.config.pipeline_depth
         buffer_size = self.config.buffer_size
-        window_size = depth * buffer_size if is_aggregator else 0
-        window = yield from sub.create_window(window_size)
         pending_flush: dict[int, list[Request]] = {i: [] for i in range(depth)}
         bytes_contributed = 0
         my_puts = part_schedule.puts_by_rank.get(ctx.rank, [])
@@ -224,23 +235,14 @@ class TapiocaIO:
         ``{segment.offset: bytes}`` for this rank's segments.
         """
         partition_index = self.partition_index_of_rank(ctx.rank)
-        partition = self.partitions[partition_index]
         part_schedule = self.schedule.partitions[partition_index]
-        sub = yield from ctx.comm.split(partition_index)
-        if self.config.elect_with_allreduce:
-            _cost, winner = yield from sub.allreduce(
-                self._election_value(ctx.rank, partition), op="minloc", nbytes=16
-            )
-            aggregator_rank = int(winner)
-        else:
-            aggregator_rank = self.placement.aggregator_of(partition_index)
-        self.elected[partition_index] = aggregator_rank
+        sub, aggregator_rank, window = yield from self._enter_partition(
+            ctx, partition_index
+        )
         is_aggregator = ctx.rank == aggregator_rank
         aggregator_sub_rank = sub.raw.comm_rank_of_world(aggregator_rank)
         depth = self.config.pipeline_depth
         buffer_size = self.config.buffer_size
-        window_size = depth * buffer_size if is_aggregator else 0
-        window = yield from sub.create_window(window_size)
         my_puts = part_schedule.puts_by_rank.get(ctx.rank, [])
         assembled: dict[int, bytearray] = {
             segment.offset: bytearray(segment.nbytes)
@@ -296,19 +298,9 @@ class TapiocaIO:
     # ------------------------------------------------------------------ #
 
     def write_program(self):
-        """A rank-program function running :meth:`write` (for ``SimWorld.run``)."""
-
-        def program(ctx: RankContext) -> Generator[Event, Any, int]:
-            result = yield from self.write(ctx)
-            return result
-
-        return program
+        """The rank program running :meth:`write` (for ``SimWorld.run``)."""
+        return self.write
 
     def read_program(self):
-        """A rank-program function running :meth:`read` (for ``SimWorld.run``)."""
-
-        def program(ctx: RankContext) -> Generator[Event, Any, dict[int, bytes]]:
-            result = yield from self.read(ctx)
-            return result
-
-        return program
+        """The rank program running :meth:`read` (for ``SimWorld.run``)."""
+        return self.read

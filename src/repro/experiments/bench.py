@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -30,7 +30,7 @@ from repro.obs.clock import timed as _timed
 #: Schema tag written into every benchmark artifact.
 BENCH_SCHEMA = "repro-bench-v1"
 
-#: ``repro bench --history`` fails (exit 1) if the newest artifact's fast
+#: ``repro dash --check`` fails (exit 1) if the newest artifact's fast
 #: placement throughput has regressed below this floor — the same floor CI
 #: enforces on fresh runs.
 PLACEMENT_FLOOR_CANDIDATES_PER_S = 1500.0
@@ -605,7 +605,7 @@ def render_suite(payload: dict) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# History (``repro bench --history``)
+# History (``repro dash``)
 # --------------------------------------------------------------------------- #
 
 _BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
@@ -615,9 +615,9 @@ _BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
 class HistoryMetric:
     """One column of the benchmark trajectory.
 
-    The single extraction table shared by ``repro bench --history`` and the
-    ``repro dash`` dashboard: adding a metric here makes it appear in both
-    (older BENCH files that predate it backfill as ``"-"``).
+    The single extraction table behind the ``repro dash`` trajectory table,
+    its CSV and its floor gate: adding a metric here makes it appear in all
+    three (older BENCH files that predate it backfill as ``"-"``).
 
     Attributes:
         key: the row-dict key and CSV column stem.
@@ -814,22 +814,17 @@ def render_history(rows: list[dict], *, as_csv: bool = False) -> str:
     return "\n".join(rendered)
 
 
-def history_regressions(
-    rows: list[dict], *, floor: float = PLACEMENT_FLOOR_CANDIDATES_PER_S
-) -> list[str]:
+def history_regressions(rows: list[dict]) -> list[str]:
     """Human-readable regression messages for the latest trajectory points.
 
     Every metric in :data:`HISTORY_METRICS` that declares a floor is gated
     against the newest row that records it — BENCH artifacts are partial
     (a serve-only artifact carries no placement number), so each metric
-    finds its own latest observation.  ``floor`` overrides the placement
-    throughput floor for back-compat with the original single-gate API.
-    An empty list means the history is clean.
+    finds its own latest observation.  An empty list means the history is
+    clean.
     """
     problems: list[str] = []
     for metric in HISTORY_METRICS:
-        if metric.key == "placement_cand_per_s":
-            metric = replace(metric, floor=floor)
         if metric.floor is None:
             continue
         latest = next(

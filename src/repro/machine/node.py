@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.utils.units import GIB, MIB, gbps
+from repro.utils.units import GIB, gbps
 from repro.utils.validation import require_positive
 
 

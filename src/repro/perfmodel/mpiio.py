@@ -23,7 +23,6 @@ from repro.perfmodel.common import ModelContext, build_context, is_aligned
 from repro.perfmodel.flows import analyze_flows
 from repro.perfmodel.results import IOEstimate, PhaseBreakdown
 from repro.storage.base import IOPhaseProfile
-from repro.storage.lustre import LustreStripeConfig
 from repro.workloads.base import Workload
 
 

@@ -5,10 +5,9 @@ artifact, ``BENCH_5.json`` onward — as one CSV (plus a multi-panel plot
 when matplotlib is available) and checks the newest observation of every
 metric against its documented floor.
 
-The metric set is :data:`repro.experiments.bench.HISTORY_METRICS`, the
-same extraction table ``repro bench --history`` renders from: a future
-``BENCH_9.json`` metric added there appears in both views, with older
-artifacts backfilled as ``"-"``.
+The metric set is :data:`repro.experiments.bench.HISTORY_METRICS`: a
+metric added there appears in the table, the CSV and the floor gate, with
+older artifacts backfilled as ``"-"``.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ def render_dashboard(
     out_dir: str | Path = "figures",
     *,
     plots: bool = True,
-    floor: float | None = None,
 ) -> DashboardReport:
     """Render the benchmark trajectory: CSV always, plots when possible.
 
@@ -75,8 +73,6 @@ def render_dashboard(
         history_root: directory scanned for ``BENCH_<n>.json``.
         out_dir: where ``dashboard.csv`` (and plots) land.
         plots: set ``False`` to force CSV-only output.
-        floor: optional override of the placement throughput floor passed
-            through to :func:`history_regressions`.
 
     The caller decides what to do with :meth:`DashboardReport.passed` —
     the CLI's ``--check`` exits non-zero on any breach.
@@ -104,8 +100,7 @@ def render_dashboard(
                 out_path,
                 stem=DASHBOARD_STEM,
             )
-        kwargs = {} if floor is None else {"floor": floor}
-        report.regressions = history_regressions(report.rows, **kwargs)
+        report.regressions = history_regressions(report.rows)
         rec = recorder()
         if rec is not None:
             rec.inc("reporting.bench_points", len(report.rows))

@@ -5,7 +5,11 @@ into aggregator buffers), fences, ``MPI_Allreduce(MINLOC)`` for the
 aggregator election, and non-blocking MPI-IO writes.  No MPI implementation
 is available in this reproduction environment, so this package provides a
 simulated one that is faithful enough to run the *actual algorithms*
-unchanged:
+unchanged.  It carries exactly the calls TAPIOCA
+(:mod:`repro.core.runtime`) and the two-phase / independent MPI-IO baselines
+(:mod:`repro.iolib`) make: ``split``, ``barrier``, ``allgather``,
+``allreduce(minloc)``, collective window allocation with ``fence`` /
+``put`` / ``get``, and blocking or non-blocking file reads and writes.
 
 * ranks are coroutines (Python generators) scheduled by a discrete-event
   engine (:mod:`repro.simmpi.engine`);
@@ -18,15 +22,14 @@ unchanged:
 Rank programs are written in "generator MPI" style::
 
     def program(ctx: RankContext):
-        value = yield from ctx.comm.allreduce(ctx.rank, op="max")
+        cost, winner = yield from ctx.comm.allreduce((ctx.rank % 3, ctx.rank), op="minloc")
         yield from ctx.comm.barrier()
-        return value
+        return winner
 
 and executed with :class:`~repro.simmpi.world.SimWorld`.
 """
 
 from repro.simmpi.engine import AllOf, Environment, Event, Process, Timeout
-from repro.simmpi.datatypes import Datatype, BYTE, CHAR, INT, LONG, FLOAT, DOUBLE
 from repro.simmpi.errors import SimMPIError, RankProgramError
 from repro.simmpi.request import Request
 from repro.simmpi.communicator import Communicator, ReduceOp
@@ -40,13 +43,6 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "Datatype",
-    "BYTE",
-    "CHAR",
-    "INT",
-    "LONG",
-    "FLOAT",
-    "DOUBLE",
     "SimMPIError",
     "RankProgramError",
     "Request",

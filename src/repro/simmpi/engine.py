@@ -233,8 +233,8 @@ class Environment:
 
         Raises:
             DeadlockError: if the event queue drained while some of the
-                ``expect_processes`` have not completed (a blocked collective,
-                an unmatched receive, ...).
+                ``expect_processes`` have not completed (e.g. a blocked
+                collective).
         """
         final_time = self.run()
         stuck = [p.name for p in expect_processes if not p.triggered]

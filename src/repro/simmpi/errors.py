@@ -23,6 +23,6 @@ class RankProgramError(SimMPIError):
 class DeadlockError(SimMPIError):
     """The event queue drained while rank programs were still blocked.
 
-    This is how the simulator surfaces classic MPI deadlocks (e.g. a receive
-    that is never matched, or a barrier some rank never reaches).
+    This is how the simulator surfaces classic MPI deadlocks (e.g. a barrier
+    or collective some rank never reaches).
     """

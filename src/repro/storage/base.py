@@ -20,7 +20,7 @@ per-operation overhead, and an alignment / lock penalty.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import require_non_negative, require_positive
 

@@ -16,14 +16,13 @@ identifiers so that flow counting does not need to know the topology type.
 
 Memos and batch kernels.  ``distance``/``route`` answers are memoised per
 topology instance, ``Link`` objects are interned (one object per directed
-link of the machine instead of a fresh allocation per route), and the batch
-queries
-:meth:`Topology.distances_from` / :meth:`Topology.routes_from` /
-:meth:`Topology.path_bandwidths_from` let the cost model evaluate a whole
-candidate set without per-pair Python dispatch.  Every concrete topology
-implements the closed-form vectorised kernels ``_batch_distances`` /
-``_batch_path_bandwidths``; they equal the per-pair :meth:`Topology.distance`
-/ :meth:`Topology.path_bandwidth` exactly, which the property tests check
+link of the machine instead of a fresh allocation per route), and
+:meth:`Topology.pair_metrics` hands the cost model the hop and bandwidth
+matrices of a whole candidate set without per-pair Python dispatch.  Every
+concrete topology implements the closed-form vectorised kernels
+``_batch_distances`` / ``_batch_path_bandwidths`` that fill those matrices
+row by row; they equal the per-pair :meth:`Topology.distance` /
+:meth:`Topology.path_bandwidth` exactly, which the property tests check
 against the uncached ``_distance_impl`` / ``_route_impl``.
 """
 
@@ -253,30 +252,6 @@ class Topology(abc.ABC):
                 f"node must be in [0, {self.num_nodes}), got {int(bad)!r}"
             )
         return ids
-
-    def distances_from(self, node: int, nodes: Iterable[int]) -> np.ndarray:
-        """Hop distances from ``node`` to each node of ``nodes`` (int64 array).
-
-        Equals ``[self.distance(node, n) for n in nodes]`` exactly, computed
-        by the topology's closed-form kernel :meth:`_batch_distances`.
-        """
-        self.validate_node(node)
-        return self._batch_distances(node, self._as_node_array(nodes))
-
-    def routes_from(self, node: int, nodes: Iterable[int]) -> list[Route]:
-        """Routes from ``node`` to each node of ``nodes`` (cache-served)."""
-        self.validate_node(node)
-        return [self.route(node, int(n)) for n in self._as_node_array(nodes)]
-
-    def path_bandwidths_from(self, node: int, nodes: Iterable[int]) -> np.ndarray:
-        """Narrowest-link bandwidth from ``node`` to each of ``nodes``.
-
-        Equals ``[self.path_bandwidth(node, n) for n in nodes]`` exactly
-        (``inf`` for self-pairs), computed by the topology's closed-form
-        kernel :meth:`_batch_path_bandwidths`.
-        """
-        self.validate_node(node)
-        return self._batch_path_bandwidths(node, self._as_node_array(nodes))
 
     @abc.abstractmethod
     def _batch_distances(self, node: int, ids: np.ndarray) -> np.ndarray:

@@ -143,15 +143,19 @@ class TestLoadHistoryHardening:
             )
         )
         (tmp_path / "BENCH_6.json").write_text("{truncated")
-        code = main(["bench", "--history", "--history-root", str(tmp_path)])
-        captured = capsys.readouterr()
+        out_dir = tmp_path / "dash"
+        code = main(
+            ["dash", "--check", "--history-root", str(tmp_path), "--out", str(out_dir)]
+        )
+        output = capsys.readouterr().out
         assert code == 0
-        assert "BENCH_5.json" in captured.out
-        assert "warning:" in captured.err and "BENCH_6.json" in captured.err
+        assert "BENCH_5.json" in output
+        warnings = [line for line in output.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "BENCH_6.json" in warnings[0]
 
 
 class TestHistoryMetricsTable:
-    """One extraction table drives --history, regressions, and the dashboard."""
+    """One extraction table drives the dashboard's table, CSV and floor gate."""
 
     def test_history_row_uses_the_shared_table(self):
         from repro.experiments.bench import HISTORY_METRICS, history_row
@@ -193,13 +197,6 @@ class TestHistoryMetricsTable:
         assert [name for name, _ in history][:2] == ["BENCH_5.json", "BENCH_6.json"]
         rows = [history_row(name, payload) for name, payload in history]
         assert history_regressions(rows) == []
-
-    def test_placement_floor_override_still_works(self):
-        from repro.experiments.bench import history_regressions
-
-        row = {"name": "BENCH_9.json", "placement_cand_per_s": 2000.0}
-        assert history_regressions([row]) == []
-        assert len(history_regressions([row], floor=5000.0)) == 1
 
 
 def test_render_suite_mentions_every_benchmark():

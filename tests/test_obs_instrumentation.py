@@ -3,7 +3,7 @@
 The contract under test: instrumentation observes, never perturbs.  Results
 must be byte-identical with tracing on and off, worker-process metric
 deltas must merge back into the parent recorder, and the CLI surfaces
-(``--trace``, ``profile``, ``bench --history``) must work end to end.
+(``--trace``, ``profile``, ``dash --check``) must work end to end.
 """
 
 import json
@@ -222,10 +222,18 @@ def _bench_payload(placement_rate: float) -> dict:
 
 
 class TestBenchHistory:
+    """The BENCH_*.json trajectory through ``repro dash --check``."""
+
+    @staticmethod
+    def _dash(root):
+        return main(
+            ["dash", "--check", "--history-root", str(root), "--out", str(root / "dash")]
+        )
+
     def test_history_table_and_floor(self, tmp_path, capsys):
         (tmp_path / "BENCH_1.json").write_text(json.dumps(_bench_payload(9_000.0)))
         (tmp_path / "BENCH_2.json").write_text(json.dumps(_bench_payload(16_000.0)))
-        code = main(["bench", "--history", "--history-root", str(tmp_path)])
+        code = self._dash(tmp_path)
         output = capsys.readouterr().out
         assert code == 0
         assert "BENCH_1.json" in output and "BENCH_2.json" in output
@@ -234,28 +242,28 @@ class TestBenchHistory:
     def test_history_fails_below_floor(self, tmp_path, capsys):
         (tmp_path / "BENCH_1.json").write_text(json.dumps(_bench_payload(9_000.0)))
         (tmp_path / "BENCH_2.json").write_text(json.dumps(_bench_payload(800.0)))
-        code = main(["bench", "--history", "--history-root", str(tmp_path)])
+        code = self._dash(tmp_path)
         assert code == 1
-        assert "below the 1,500" in capsys.readouterr().err
+        assert "below the 1,500" in capsys.readouterr().out
 
     def test_history_gate_skips_serve_only_artifacts(self, tmp_path, capsys):
         (tmp_path / "BENCH_1.json").write_text(json.dumps(_bench_payload(9_000.0)))
         serve_only = {"schema": "repro-bench-v1", "results": {"serve": {}}}
         (tmp_path / "BENCH_2.json").write_text(json.dumps(serve_only))
-        assert main(["bench", "--history", "--history-root", str(tmp_path)]) == 0
+        assert self._dash(tmp_path) == 0
         capsys.readouterr()
 
     def test_history_csv(self, tmp_path, capsys):
         (tmp_path / "BENCH_1.json").write_text(json.dumps(_bench_payload(9_000.0)))
-        assert (
-            main(["bench", "--history", "--csv", "--history-root", str(tmp_path)]) == 0
-        )
-        lines = capsys.readouterr().out.strip().splitlines()
+        assert self._dash(tmp_path) == 0
+        capsys.readouterr()
+        csv_text = (tmp_path / "dash" / "dashboard.csv").read_text(encoding="utf-8")
+        lines = csv_text.strip().splitlines()
         assert lines[0].startswith("artifact,commit,")
         assert lines[1].startswith("BENCH_1.json,deadbeef,")
 
     def test_empty_history_is_an_error(self, tmp_path, capsys):
-        assert main(["bench", "--history", "--history-root", str(tmp_path)]) == 1
+        assert self._dash(tmp_path) == 1
         assert "no BENCH_*.json" in capsys.readouterr().err
 
 

@@ -65,31 +65,29 @@ def test_cached_distance_and_route_equal_scalar_path(topology):
 
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
 def test_batch_queries_equal_scalar_loops(topology):
+    """Each ``pair_metrics`` row (one batch-kernel call) equals the per-pair loop."""
     rng = random.Random(7)
     n = topology.num_nodes
     nodes = [rng.randrange(n) for _ in range(min(n, 128))]
-    for _ in range(5):
-        src = rng.randrange(n)
-        distances = topology.distances_from(src, nodes)
-        bandwidths = topology.path_bandwidths_from(src, nodes)
-        routes = topology.routes_from(src, nodes)
-        assert [int(d) for d in distances] == [
+    hops, bandwidths = topology.pair_metrics(nodes)
+    for row in rng.sample(range(len(nodes)), 5):
+        src = nodes[row]
+        assert [int(d) for d in hops[row]] == [
             topology._distance_impl(src, m) for m in nodes
         ]
-        assert [float(b) for b in bandwidths] == [
+        assert [float(b) for b in bandwidths[row]] == [
             _scalar_path_bandwidth(topology, src, m) for m in nodes
         ]
-        assert routes == [topology._route_impl(src, m) for m in nodes]
 
 
 @pytest.mark.parametrize("topology", _topologies(), ids=lambda t: t.name)
 def test_batch_queries_reject_invalid_nodes(topology):
     with pytest.raises(ValueError):
-        topology.distances_from(0, [0, topology.num_nodes])
+        topology.pair_metrics([0, topology.num_nodes])
     with pytest.raises(ValueError):
-        topology.distances_from(topology.num_nodes, [0])
+        topology.pair_metrics([topology.num_nodes, 0])
     with pytest.raises(ValueError):
-        topology.path_bandwidths_from(0, [-1])
+        topology.pair_metrics([0, -1])
 
 
 def test_cache_state_never_leaks_across_instances():
@@ -104,7 +102,7 @@ def test_cache_state_never_leaks_across_instances():
         assert slow.route(0, dst).min_bandwidth == 1.0e9
         assert fast.route(0, dst).min_bandwidth == 2.0e9
         assert slow.route(0, dst) is not fast.route(0, dst)
-    assert float(slow.path_bandwidths_from(0, [1])[0]) == 1.0e9
+    assert float(slow.pair_metrics([0, 1])[1][0, 1]) == 1.0e9
     # Different geometry under the same class: distances must differ too.
     ring = TorusTopology((8,))
     assert ring.distance(0, 5) == 3
